@@ -13,8 +13,8 @@ The Morse matching pairs a cell whose maximal chain prefix covers slots
 prefix extended by w' is a (p+1)-chain.  All matched weights are ±1 here;
 invertibility is still checked and a failure aborts loudly.  Differentials
 and the homotopy maps f, g are sums of path weights in the reversed-edge
-graph, computed by memoized depth-first traversal (the matching is acyclic,
-asserted in debug via the recursion stack).
+graph, computed by memoized depth-first traversal (the matching is acyclic;
+the recursion stack raises MatchingError on a cycle).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from .coeffalg import (
     UNIT,
     AlgebraElement,
+    _letter_word_memo,
     normal_form,
     render_word,
 )
@@ -32,7 +33,8 @@ _F1 = Fraction(1)
 
 
 class MatchingError(RuntimeError):
-    """A matched edge had a non-invertible weight (signals a matching bug)."""
+    """The matching is not a Morse matching: a matched edge had a
+    non-invertible weight or a traversal met a cycle (signals a matching bug)."""
 
 
 # -- obstruction sets and Anick chains -------------------------------------------
@@ -350,7 +352,8 @@ def homotopy_f(cell, _stack=None):
         return cached
     if _stack is None:
         _stack = set()
-    assert cell not in _stack, "cycle in Morse graph traversal"
+    if cell in _stack:
+        raise MatchingError(f"cycle in Morse graph traversal at {cell}")
     edge = matched_edge(cell)
     if edge is None:
         result = {cell_to_chain(cell): AlgebraElement.one()}
@@ -381,7 +384,8 @@ def _ascend(cell, _stack=None):
     else:
         if _stack is None:
             _stack = set()
-        assert cell not in _stack, "cycle in Morse graph traversal"
+        if cell in _stack:
+            raise MatchingError(f"cycle in Morse graph traversal at {cell}")
         partner, _, weight = edge
         inv = -_F1 / weight
         _stack.add(cell)
@@ -457,9 +461,11 @@ def anick_delta_closed(chain):
 
 
 def clear_caches():
-    """Drop the memoized Morse traversals and rewriting tables."""
+    """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``) and
+    the letter-by-word rewriting table ``coeffalg._letter_word_memo``."""
     _f_memo.clear()
     _ascend_memo.clear()
+    _letter_word_memo.clear()
 
 
 # -- rendering ------------------------------------------------------------------------

@@ -377,12 +377,12 @@ def check_chain_map(max_degree=3, window_sum=8, module="M(alpha=1,delta=1)",
 
 
 def check_nabla_squared(max_degree=4, window_sum=9, module="M(alpha=1,delta=1)",
-                        margin=0, jobs=1):
+                        margin=0):
     """∇ⁿ⁺¹∘∇ⁿ = 0, exactly, on the whole window."""
     mod = make_module(module)
     window = Window(window_sum, margin)
     failures = []
-    matrices = {n: assemble_matrix(n, mod, window, jobs) for n in range(0, max_degree + 2)}
+    matrices = {n: assemble_matrix(n, mod, window) for n in range(0, max_degree + 2)}
     for n in range(0, max_degree + 1):
         a, b = matrices[n], matrices[n + 1]
         for j in range(a.ncols):

@@ -3,14 +3,13 @@
 Subcommands: nf, chains, delta, homotopy, check, cohomology, verify.
 Output is deterministic (stable chain ordering, sorted JSON keys); exit
 codes: 0 success / all checks passed, 1 a check or verification failed,
-2 invalid input.  CONFWEYL_THREADS sizes the matrix-assembly thread pool.
+2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import checks, verify as verify_mod
@@ -29,14 +28,6 @@ from .anick import (
 from .coeffalg import UNIT, normal_form, parse_word, render_algebra_element, render_word
 from .cohomology import Window, cohomology_dim
 from .modules import ModuleValidationError, make_module
-
-
-def _jobs():
-    raw = os.environ.get("CONFWEYL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(args, text_body, json_body):
@@ -188,7 +179,7 @@ def cmd_check(args):
 def cmd_cohomology(args):
     module = make_module(args.module)
     window = Window(args.window, args.margin)
-    report = cohomology_dim(args.degree, module, window, jobs=_jobs())
+    report = cohomology_dim(args.degree, module, window)
     text = (
         f"H^{report['degree']}({report['module']})  W={report['W']} margin={report['margin']}\n"
         f"  dim_ker_proj = {report['dim_ker_proj']}\n"
@@ -204,7 +195,7 @@ def cmd_cohomology(args):
 
 def cmd_verify(args):
     ids = set(args.only) if args.only else None
-    outcome = verify_mod.run_all(jobs=_jobs(), ids=ids)
+    outcome = verify_mod.run_all(ids=ids)
     lines = []
     for r in outcome["criteria"]:
         status = "PASS" if r["passed"] else "FAIL"

@@ -8,18 +8,22 @@ untruncated complex would on every retained coordinate.  The only window
 artifact sits near the top: kernels may contain vectors whose defining
 relations lie above W.  Dimension reports therefore project kernel and
 image onto an inner window (sum ≤ W - margin) and re-run at W-1 to check
-the projected dimension has stabilized.
+the projected dimension has stabilized.  For the same reason ∇ at W-1 is
+exactly the sum ≤ W-1 corner of ∇ at W, so the re-run restricts the
+matrices already assembled instead of assembling again.
 
 The scalar reduction is the canonical one: processing chains in
 (sum, lex) order, peel b = φ[c] - Σ_k i_k·h[c with i_k decremented] and
 split b = s[c] + ∂·h[c].  The resulting s is the unique scalar-valued
 representative of φ modulo the derivation-twist map D, and the reduced
-differential ∇ = reduce ∘ Δ ∘ include is canonical.
+differential ∇ = reduce ∘ Δ ∘ include is canonical.  ``reduced_delta``
+applies it to one cochain; ``assemble_matrix`` builds every column of ∇ⁿ
+in a single sweep over the degree-(n+1) chains, carrying the ∂-quotients
+of all columns at once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,35 +266,74 @@ class ReducedMatrix(RationalMatrix):
         self.row_index = {lab: i for i, lab in enumerate(row_labels)}
         self.col_index = {lab: j for j, lab in enumerate(col_labels)}
 
+    def restrict(self, window):
+        """∇ at a smaller window: the rows and columns with sum ≤ window.W.
 
-def assemble_matrix(degree, module, window, jobs=1):
+        Neither δ nor the reduction raises the index sum, so this equals
+        ``assemble_matrix`` at that window.  Labels run in (sum, lex) order,
+        so the kept labels are a prefix on both sides.
+        """
+        if window.W > self.window.W:
+            raise ValueError("can only restrict to a window no larger than W")
+        nrows = sum(1 for chain, _ in self.row_labels if sum(chain) <= window.W)
+        ncols = sum(1 for chain, _ in self.col_labels if sum(chain) <= window.W)
+        columns = [{i: v for i, v in col.items() if i < nrows}
+                   for col in self.columns[:ncols]]
+        return ReducedMatrix(self.degree, self.module, window, columns,
+                             self.row_labels[:nrows], self.col_labels[:ncols])
+
+
+def assemble_matrix(degree, module, window):
     """Matrix of ∇^degree on the delta-function basis of scalar cochains.
 
     Columns: degree-n chains (sum ≤ W) × module coordinates; rows: the same
     for degree n+1.  Degree 0 has the single empty chain per coordinate.
+
+    All columns come out of one sweep over the rows x in (sum, lex) order.
+    Row x of Δ applied to the basis cochain at (y, j) is δ's coefficient of
+    y in x acting on eⱼ; from it the reduction subtracts i·h[dec x] for
+    each decrement and splits the rest into constants (the ∇ entries at x)
+    and a ∂-quotient h[x] carried to the rows of the next sum — exactly
+    what ``reduced_delta`` computes one column at a time.
     """
     module = make_module(module)
     col_labels = coordinate_labels(degree, module, window)
     row_labels = coordinate_labels(degree + 1, module, window)
-    row_index = {lab: i for i, lab in enumerate(row_labels)}
-
-    def build_column(label):
-        chain, j = label
-        basis_vec = tuple(1 if i == j else 0 for i in range(module.rank))
-        s = ScalarCochain(degree, module, {chain: basis_vec})
-        image = reduced_delta(s, window)
-        col = {}
-        for x, vec in image.values.items():
-            for coord, val in enumerate(vec):
+    col_index = {lab: i for i, lab in enumerate(col_labels)}
+    columns = [{} for _ in col_labels]
+    basis = module.basis()
+    zero = module.zero()
+    action = {}  # (δ coefficient, j) -> the coefficient acting on eⱼ
+    # chain -> {column: h}, for the chains at the current sum and the one below;
+    # a decrement lowers the sum by exactly one, so older quotients are never read
+    carried, carried_prev, level = {}, {}, None
+    for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
+        if sum(x) != level:
+            carried, carried_prev, level = {}, carried, sum(x)
+        entries = {}
+        for y, coeff in _delta_terms(x):
+            key = frozenset(coeff.terms.items())
+            for j in range(module.rank):
+                act = action.get((key, j))
+                if act is None:
+                    act = action[(key, j)] = module.act_algebra(coeff, basis[j])
+                entries[col_index[(y, j)]] = act
+        for _, i, dec in _decrements(x):
+            for col, h in carried_prev.get(dec, {}).items():
+                entries[col] = entries.get(col, zero) - h.scale(i)
+        quotients = {}
+        base = row * module.rank
+        for col, b in entries.items():
+            if b.is_zero():
+                continue
+            consts, quot = reduce_element(b)
+            for coord, val in enumerate(consts):
                 if val:
-                    col[row_index[(x, coord)]] = val
-        return col
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(build_column, col_labels))
-    else:
-        columns = [build_column(lab) for lab in col_labels]
+                    columns[col][base + coord] = val
+            if not quot.is_zero():
+                quotients[col] = quot
+        if quotients:
+            carried[x] = quotients
     return ReducedMatrix(degree, module, window, columns, row_labels, col_labels)
 
 
@@ -299,31 +342,34 @@ def _inner_filter(labels, inner):
     return lambda i: keep[i]
 
 
-def _dims_at(n, module, window, jobs=1):
-    a_n = assemble_matrix(n, module, window, jobs)
-    a_prev = assemble_matrix(n - 1, module, window, jobs)
-    inner = window.inner
+def _projected_dims(a_n, a_prev, inner):
     kernel = a_n.nullspace()
     col_keep = [sum(chain) <= inner for (chain, _) in a_n.col_labels]
     dim_ker = rank_of_vectors(kernel, lambda j: col_keep[j])
     dim_im = a_prev.rank(_inner_filter(a_prev.row_labels, inner))
-    return dim_ker, dim_im, a_n, a_prev
+    return dim_ker, dim_im
 
 
-def cohomology_dim(n, module, window, jobs=1):
+def cohomology_dim(n, module, window):
     """Windowed H^n dimension report with a stability check at W-1.
 
     dim_H = dim proj(ker ∇ⁿ) - dim proj(im ∇ⁿ⁻¹), both projected onto the
-    inner window; stable means the same dim_H results at window W-1.
+    inner window; stable means the same dim_H results at window W-1.  The
+    W-1 matrices are the sum ≤ W-1 corners of the ones at W, so ∇ⁿ and
+    ∇ⁿ⁻¹ are each assembled once.
     """
     if n < 1:
         raise ValueError("cohomology degree must be >= 1")
     if window.W - 1 < window.margin:
         raise ValueError("window too small for the stability re-run at W-1")
     module = make_module(module)
-    dim_ker, dim_im, a_n, _ = _dims_at(n, module, window, jobs)
+    a_n = assemble_matrix(n, module, window)
+    a_prev = assemble_matrix(n - 1, module, window)
+    dim_ker, dim_im = _projected_dims(a_n, a_prev, window.inner)
     dim_h = dim_ker - dim_im
-    dim_ker2, dim_im2, _, _ = _dims_at(n, module, window.shrink(), jobs)
+    smaller = window.shrink()
+    dim_ker2, dim_im2 = _projected_dims(a_n.restrict(smaller), a_prev.restrict(smaller),
+                                        smaller.inner)
     stable = (dim_ker2 - dim_im2) == dim_h
     counts = {deg: len(enumerate_chains(deg, window.W)) for deg in range(1, n + 2)}
     return {
@@ -370,7 +416,7 @@ def _apply_matrix(matrix, s):
                                      matrix.module)
 
 
-def verify_theorem_constructions(module, n, window, jobs=1):
+def verify_theorem_constructions(module, n, window):
     """Check the explicit cocycle-killing constructions in degree n ≥ 2.
 
     For every basis vector s of the window kernel of ∇ⁿ, builds the
@@ -384,8 +430,8 @@ def verify_theorem_constructions(module, n, window, jobs=1):
     alpha = _require_weight_one(module)
     if n < 2:
         raise ValueError("constructions start at degree 2")
-    a_n = assemble_matrix(n, module, window, jobs)
-    a_prev = assemble_matrix(n - 1, module, window, jobs)
+    a_n = assemble_matrix(n, module, window)
+    a_prev = assemble_matrix(n - 1, module, window)
     sign_even = Fraction(-1) ** n  # (-1)^n
     failures = []
     for vec in a_n.nullspace():

@@ -279,13 +279,13 @@ def criterion_6():
                    passed, detail, secs, None)
 
 
-def criterion_7(jobs=1):
+def criterion_7():
     def run():
         window = Window(12, 3)
         cases = [(Fraction(0), 1), (Fraction(1), 0), (Fraction(-2), 0), (Fraction(1, 2), 0)]
         reports = []
         for alpha, want in cases:
-            rep = cohomology_dim(1, module_m(alpha, 1), window, jobs)
+            rep = cohomology_dim(1, module_m(alpha, 1), window)
             reports.append({"alpha": str(alpha), "dim_H": rep["dim_H"], "stable": rep["stable"]})
             if rep["dim_H"] != want or not rep["stable"]:
                 return False, {"case": reports[-1], "want": want}
@@ -295,7 +295,7 @@ def criterion_7(jobs=1):
                    passed, detail, secs, 240)
 
 
-def criterion_8(jobs=1):
+def criterion_8():
     def run():
         settings = [(2, 10), (3, 10), (4, 9)]
         reports = []
@@ -303,8 +303,8 @@ def criterion_8(jobs=1):
             for alpha in (Fraction(0), Fraction(1)):
                 mod = module_m(alpha, 1)
                 window = Window(w, 3)
-                rep = cohomology_dim(n, mod, window, jobs)
-                ok, failures = verify_theorem_constructions(mod, n, window, jobs)
+                rep = cohomology_dim(n, mod, window)
+                ok, failures = verify_theorem_constructions(mod, n, window)
                 reports.append({"n": n, "alpha": str(alpha), "dim_H": rep["dim_H"],
                                 "stable": rep["stable"], "constructions": ok})
                 if rep["dim_H"] != 0 or not rep["stable"] or not ok:
@@ -315,14 +315,14 @@ def criterion_8(jobs=1):
                    passed, detail, secs, 300)
 
 
-def criterion_9(jobs=1):
+def criterion_9():
     def run():
         window = Window(10, 3)
         reports = []
         for spec in ("M(alpha=0,delta=0)", "ext(alpha=0,beta=1,gamma=1)"):
             mod = make_module(spec)
             for n in (2, 3):
-                rep = cohomology_dim(n, mod, window, jobs)
+                rep = cohomology_dim(n, mod, window)
                 reports.append({"module": spec, "n": n, "dim_H": rep["dim_H"],
                                 "stable": rep["stable"]})
                 if rep["dim_H"] != 0 or not rep["stable"]:
@@ -333,7 +333,7 @@ def criterion_9(jobs=1):
                    passed, detail, secs, 300)
 
 
-def criterion_10(jobs=1):
+def criterion_10():
     def run():
         res = check_conformal_axioms(max_vdeg=6, max_ddeg=2)
         if not res["passed"]:
@@ -347,7 +347,7 @@ def criterion_10(jobs=1):
         res = check_chain_map(max_degree=3, window_sum=8)
         if not res["passed"]:
             return False, {"suite": "chain-map", **res["details"]}
-        res = check_nabla_squared(max_degree=4, window_sum=9, jobs=jobs)
+        res = check_nabla_squared(max_degree=4, window_sum=9)
         if not res["passed"]:
             return False, {"suite": "nabla-squared", **res["details"]}
         return True, {"suites": ["conformal-axioms", "conformal-associativity",
@@ -386,14 +386,11 @@ CRITERIA = (
 )
 
 
-def run_all(jobs=1, ids=None):
+def run_all(ids=None):
     results = []
     for fn in CRITERIA:
         cid = int(fn.__name__.rsplit("_", 1)[1])
         if ids and cid not in ids:
             continue
-        if fn.__code__.co_argcount:
-            results.append(fn(jobs))
-        else:
-            results.append(fn())
+        results.append(fn())
     return {"passed": all(r["passed"] for r in results), "criteria": results}

@@ -4,13 +4,9 @@ Each test prints one pass/fail line; `confweyl verify` runs the same
 functions from the command line.
 """
 
-import os
-
 import pytest
 
 from confweyl import verify
-
-JOBS = max(1, int(os.environ.get("CONFWEYL_THREADS", "1")))
 
 
 def _report(result):
@@ -25,5 +21,5 @@ def _report(result):
 @pytest.mark.parametrize("cid", range(1, 11), ids=lambda c: f"criterion-{c}")
 def test_criterion(cid):
     fn = getattr(verify, f"criterion_{cid}")
-    result = fn(JOBS) if fn.__code__.co_argcount else fn()
+    result = fn()
     _report(result)

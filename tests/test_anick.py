@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confweyl import coeffalg
 from confweyl.anick import (
+    MatchingError,
+    _ascend,
     anick_delta_closed,
     anick_delta_morse,
     bar_derivation,
     bar_differential,
     cell_is_chain,
     chain_to_cell,
+    clear_caches,
     enumerate_chains,
     homotopy_f,
     homotopy_g,
@@ -108,11 +112,33 @@ def test_matching_property_suite():
 
 
 def test_merge_weight_invertibility_guard():
-    from confweyl.anick import MatchingError, _merge_weight
+    from confweyl.anick import _merge_weight
 
     # an edge absent from the bar differential is rejected loudly
     with pytest.raises(MatchingError):
         _merge_weight(((0, 1), (0, 2)), ((0, 9),))
+
+
+@pytest.mark.parametrize("traverse", [homotopy_f, _ascend])
+def test_traversal_cycle_guard(traverse):
+    # a merged end met again on its own recursion stack is a cycle; the
+    # guard must hold under python -O too, so it raises instead of asserting
+    cell = ((1, 5),)
+    assert matched_edge(cell)[1] == "up"
+    clear_caches()
+    with pytest.raises(MatchingError, match="cycle"):
+        traverse(cell, {cell})
+
+
+def test_clear_caches_drops_every_table():
+    from confweyl.anick import _ascend_memo, _f_memo
+
+    homotopy_g((2, 1, 1))
+    homotopy_f(((1, 5),))
+    coeffalg.normal_form("v(2)v(3)v(1)")
+    assert _f_memo and _ascend_memo and coeffalg._letter_word_memo
+    clear_caches()
+    assert not _f_memo and not _ascend_memo and not coeffalg._letter_word_memo
 
 
 def test_critical_cells_are_exactly_chain_cells():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confweyl.anick import enumerate_chains
 from confweyl.checks import check_nabla_squared, check_reduction_soundness
@@ -10,6 +12,7 @@ from confweyl.cohomology import (
     Window,
     assemble_matrix,
     cohomology_dim,
+    coordinate_labels,
     d_map,
     d_map_direct,
     hochschild_delta,
@@ -17,7 +20,7 @@ from confweyl.cohomology import (
     reduced_delta,
     verify_theorem_constructions,
 )
-from confweyl.modules import make_module, module_ext, module_m
+from confweyl.modules import make_module, module_ext, module_m, module_trivial
 from confweyl.poly import D, Poly, parse_poly
 from confweyl.verify import (
     nabla1_reference_matrix,
@@ -179,6 +182,8 @@ def test_assemble_matrix_shape_example():
     assert a.nrows == len(enumerate_chains(2, 3)) == 6
     a0 = assemble_matrix(0, mod, window)
     assert a0.ncols == 1  # constants
+    with pytest.raises(ValueError):
+        a.restrict(Window(4, 0))
 
 
 def test_cohomology_dim_reports():
@@ -224,9 +229,44 @@ def test_nabla_squared_zero_small():
     assert res["passed"]
 
 
-def test_jobs_parameter_matches_serial():
-    mod = module_m(1, 1)
-    window = Window(7, 2)
-    serial = assemble_matrix(2, mod, window, jobs=1)
-    threaded = assemble_matrix(2, mod, window, jobs=4)
-    assert serial.columns == threaded.columns
+def _column_oracle(degree, module, window):
+    """∇ one column at a time: reduced_delta of each delta-function cochain."""
+    row_index = {lab: i for i, lab in
+                 enumerate(coordinate_labels(degree + 1, module, window))}
+    columns = []
+    for chain, j in coordinate_labels(degree, module, window):
+        basis_vec = tuple(1 if i == j else 0 for i in range(module.rank))
+        image = reduced_delta(ScalarCochain(degree, module, {chain: basis_vec}), window)
+        columns.append({row_index[(x, coord)]: val
+                        for x, vec in image.values.items()
+                        for coord, val in enumerate(vec) if val})
+    return columns
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_modules = st.one_of(
+    st.builds(module_m, _rationals, st.sampled_from([0, 1])),
+    st.just(module_trivial()),
+    st.builds(module_ext, _rationals, _rationals, _rationals),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7))
+def test_assemble_matrix_matches_column_oracle(module, degree, W):
+    window = Window(W, 0)
+    got = assemble_matrix(degree, module, window).columns
+    want = _column_oracle(degree, module, window)
+    assert got == want
+    # same entry order within each column, so elimination sees identical rows
+    assert [list(col) for col in got] == [list(col) for col in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7))
+def test_restriction_equals_smaller_window(module, degree, W):
+    restricted = assemble_matrix(degree, module, Window(W, 0)).restrict(Window(W - 1, 0))
+    direct = assemble_matrix(degree, module, Window(W - 1, 0))
+    assert restricted.row_labels == direct.row_labels
+    assert restricted.col_labels == direct.col_labels
+    assert restricted.columns == direct.columns
