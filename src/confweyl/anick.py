@@ -150,10 +150,6 @@ def enumerate_chains(degree, max_sum):
     return out
 
 
-def chain_letters(chain):
-    return tuple(chain)
-
-
 def chain_to_cell(chain):
     """The critical bar cell of a chain: one single-letter slot per index."""
     return tuple((0, i) for i in chain)
@@ -326,6 +322,7 @@ def matched_edge(cell, obstructions=U2_OBSTRUCTIONS):
 
 _f_memo = {}
 _ascend_memo = {}
+_delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
 
 
 def _combine(acc, coeff, combo):
@@ -461,10 +458,12 @@ def anick_delta_closed(chain):
 
 
 def clear_caches():
-    """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``) and
-    the letter-by-word rewriting table ``coeffalg._letter_word_memo``."""
+    """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``),
+    the δ terms ``_delta_cache`` that ∇ assembly reads, and the
+    letter-by-word rewriting table ``coeffalg._letter_word_memo``."""
     _f_memo.clear()
     _ascend_memo.clear()
+    _delta_cache.clear()
     _letter_word_memo.clear()
 
 

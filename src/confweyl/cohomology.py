@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .anick import (
+    _delta_cache,
     anick_delta_closed,
     bar_derivation,
     cell_is_chain,
@@ -119,18 +120,11 @@ class ScalarCochain:
         return (isinstance(other, ScalarCochain) and self.degree == other.degree
                 and self.values == other.values)
 
-    def restrict(self, max_sum):
-        return ScalarCochain(self.degree, self.module,
-                             {c: v for c, v in self.values.items() if sum(c) <= max_sum})
-
     def is_zero(self):
         return not self.values
 
 
 # -- differential and derivation maps --------------------------------------------
-
-_delta_cache = {}
-
 
 def _delta_terms(chain):
     got = _delta_cache.get(chain)
@@ -263,7 +257,6 @@ class ReducedMatrix(RationalMatrix):
         self.degree = degree
         self.module = module
         self.window = window
-        self.row_index = {lab: i for i, lab in enumerate(row_labels)}
         self.col_index = {lab: j for j, lab in enumerate(col_labels)}
 
     def restrict(self, window):
@@ -337,16 +330,12 @@ def assemble_matrix(degree, module, window):
     return ReducedMatrix(degree, module, window, columns, row_labels, col_labels)
 
 
-def _inner_filter(labels, inner):
-    keep = [sum(chain) <= inner for (chain, _) in labels]
-    return lambda i: keep[i]
-
-
 def _projected_dims(a_n, a_prev, inner):
     kernel = a_n.nullspace()
     col_keep = [sum(chain) <= inner for (chain, _) in a_n.col_labels]
     dim_ker = rank_of_vectors(kernel, lambda j: col_keep[j])
-    dim_im = a_prev.rank(_inner_filter(a_prev.row_labels, inner))
+    row_keep = [sum(chain) <= inner for (chain, _) in a_prev.row_labels]
+    dim_im = a_prev.rank(lambda i: row_keep[i])
     return dim_ker, dim_im
 
 

@@ -176,9 +176,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
-
     def constant_term(self):
         return self.terms.get(_ZERO_EXP, _F0)
 
@@ -250,11 +247,6 @@ class Poly:
                     terms[nexp] = terms.get(nexp, _F0) + c * e
             p = Poly(terms)
         return p
-
-    def eval_zero(self, name):
-        """Set one variable to 0 (drop every term containing it)."""
-        i = var_index(name)
-        return Poly({exp: c for exp, c in self.terms.items() if exp[i] == 0})
 
     # -- rendering -----------------------------------------------------------
 

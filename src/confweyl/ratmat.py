@@ -1,9 +1,12 @@
 """Sparse exact rational matrices: rank, nullspace, matrix-vector products.
 
 Rows and columns are indexed 0..n-1 with caller-owned label lists.  All
-arithmetic is over ``fractions.Fraction``; elimination is plain Gaussian
-with sparsest-pivot-row selection, which is plenty at the few-hundred-row
-sizes the cohomology windows produce.
+arithmetic is over ``fractions.Fraction``.  Every entry point runs the one
+forward elimination in ``_echelon``: plain Gaussian elimination taking rows
+sparsest first, which keeps fill-in low and is plenty at the
+few-hundred-row sizes the cohomology windows produce.  A rank is the number
+of pivot rows; ``nullspace`` back-substitutes them to the reduced row
+echelon form, which is unique, so its basis does not depend on row order.
 """
 
 from __future__ import annotations
@@ -24,16 +27,6 @@ class RationalMatrix:
             else [{} for _ in range(ncols)]
         self.row_labels = row_labels
         self.col_labels = col_labels
-
-    def set(self, i, j, value):
-        value = Fraction(value)
-        if value:
-            self.columns[j][i] = value
-        else:
-            self.columns[j].pop(i, None)
-
-    def get(self, i, j):
-        return self.columns[j].get(i, _F0)
 
     def rows(self, row_filter=None):
         """Row-major copy (list of dicts col -> value), optionally filtered."""
@@ -60,35 +53,38 @@ class RationalMatrix:
         return out
 
     def rank(self, row_filter=None):
-        return _row_rank(self.rows(row_filter))
+        return len(_echelon(self.rows(row_filter)))
 
     def nullspace(self):
         """Basis of ker(A) as sparse vectors {col: value} over columns.
 
-        The basis is in reduced echelon form over columns taken in index
-        order, so results are deterministic.
+        One vector per free column, in column order, read off the reduced
+        row echelon form, so results are deterministic.
         """
-        rows = [dict(r) for r in self.rows()]
-        pivots = {}  # col -> eliminated row (normalized)
-        for row in rows:
-            row = _reduce_row(row, pivots)
-            if row:
-                lead = min(row)
-                inv = _F1 / row[lead]
-                pivots[lead] = {j: v * inv for j, v in row.items()}
-        # back-substitute so each pivot row has zeros at other pivot columns
+        pivots = _echelon(self.rows())
+        # Later leads are cleared first, so every pivot row met at one of this
+        # row's columns is nonzero only at its own lead and at free columns:
+        # subtracting it once clears that column for good.
         for lead in sorted(pivots, reverse=True):
-            pivots[lead] = _reduce_row_except(pivots[lead], pivots, lead)
-        free_cols = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free_cols:
-            vec = {f: _F1}
-            for lead, row in pivots.items():
-                v = row.get(f)
-                if v:
-                    vec[lead] = -v
-            basis.append(vec)
-        return basis
+            row = pivots[lead]
+            for j in [j for j in row if j != lead and j in pivots]:
+                _subtract(row, row[j], pivots[j])
+        basis = {f: {f: _F1} for f in range(self.ncols) if f not in pivots}
+        for lead, row in pivots.items():
+            for j, v in row.items():
+                if j != lead:
+                    basis[j][lead] = -v
+        return list(basis.values())
+
+
+def _subtract(row, factor, piv):
+    """row -= factor·piv in place, dropping the entries that cancel."""
+    for j, v in piv.items():
+        s = row.get(j, _F0) - factor * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
 
 
 def _reduce_row(row, pivots):
@@ -98,59 +94,28 @@ def _reduce_row(row, pivots):
         piv = pivots.get(lead)
         if piv is None:
             return row
-        factor = row[lead]
-        for j, v in piv.items():
-            s = row.get(j, _F0) - factor * v
-            if s:
-                row[j] = s
-            else:
-                row.pop(j, None)
+        _subtract(row, row[lead], piv)
     return row
 
 
-def _reduce_row_except(row, pivots, own):
-    row = dict(row)
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(row):
-            if j == own:
-                continue
-            piv = pivots.get(j)
-            if piv is None:
-                continue
-            factor = row[j]
-            for jj, v in piv.items():
-                s = row.get(jj, _F0) - factor * v
-                if s:
-                    row[jj] = s
-                else:
-                    row.pop(jj, None)
-            changed = True
-            break
-    return row
+def _echelon(rows):
+    """Forward elimination of sparse rows, sparsest first.
 
-
-def _row_rank(rows):
+    Returns the pivot rows as {lead: row}: each row is a fresh dict scaled
+    to 1 at its lead, its smallest column, and no two rows share a lead.
+    """
     pivots = {}
-    rank = 0
-    # sparser rows first keeps fill-in low
     for row in sorted(rows, key=len):
         row = _reduce_row(row, pivots)
         if row:
             lead = min(row)
             inv = _F1 / row[lead]
             pivots[lead] = {j: v * inv for j, v in row.items()}
-            rank += 1
-    return rank
+    return pivots
 
 
 def rank_of_vectors(vectors, coord_filter=None):
     """Rank of a family of sparse vectors, optionally restricted to coords."""
-    rows = []
-    for vec in vectors:
-        if coord_filter is None:
-            rows.append(dict(vec))
-        else:
-            rows.append({j: v for j, v in vec.items() if coord_filter(j)})
-    return _row_rank(rows)
+    if coord_filter is not None:
+        vectors = [{j: v for j, v in vec.items() if coord_filter(j)} for vec in vectors]
+    return len(_echelon(vectors))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confweyl import checks
 from confweyl.checks import oracle_normal_form
 from confweyl.coeffalg import (
     UNIT,
@@ -40,6 +41,13 @@ def test_normal_form_matches_naive_oracle():
     for word in [(1, 0), (2, 3, 1), (5, 0, 0, 2), (1, 1, 1, 1), (3, 2, 1, 0)]:
         assert normal_form(word) == oracle_normal_form(word, "leftmost")
         assert normal_form(word) == oracle_normal_form(word, "rightmost")
+
+
+def test_oracle_rejects_an_unreduced_result(monkeypatch):
+    # the guard must hold under python -O too, so it raises instead of asserting
+    monkeypatch.setattr(checks, "rewrite_positions", lambda word: [])
+    with pytest.raises(RuntimeError, match="not reduced"):
+        oracle_normal_form((2, 3, 1))
 
 
 @given(words)
