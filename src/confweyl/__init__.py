@@ -1,7 +1,7 @@
 """confweyl: exact Anick resolution and Hochschild cohomology for the
 conformal Weyl algebra U(2) over its coefficient algebra."""
 
-from .poly import Poly, Rational, derivative, shift, split_constant, parse_poly
+from .poly import Poly, split_constant, parse_poly
 from .conformal import (
     ConformalElement,
     LambdaPoly,
@@ -16,7 +16,6 @@ from .coeffalg import (
     AlgebraElement,
     coeff_image,
     derivation,
-    multiply,
     normal_form,
     parse_word,
 )
@@ -38,11 +37,8 @@ from .modules import (
     FiniteModule,
     ModuleElement,
     ModuleValidationError,
-    act_lambda,
-    act_vn,
     check_locality_compat,
     make_module,
-    module_derivation,
     module_ext,
     module_m,
     module_trivial,

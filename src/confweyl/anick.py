@@ -4,9 +4,10 @@ Bar cells are tuples of normal words [w₁|…|wₙ] (basis of Λ ⊗ (Λ/k)^⊗
 the empty cell () is the basis of degree 0.  Anick chains of degree n are
 index tuples (i₁,…,iₙ); the obstruction set consists of the length-two
 words v(a)v(b) with a ≥ 1, so the n-letter chains are exactly the tuples
-with i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0.  The chain test and the matching are
-nevertheless computed from the generic prechain/chain definitions so the
-closed forms can be validated against them.
+with i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0.  ``is_chain`` is that closed form, and every
+chain test here (critical cells, the matching, the targets of δ) goes
+through it.  Anick's generic prechain tiling survives only as the oracle
+``checks.oracle_is_chain``, against which the tests compare it.
 
 The Morse matching pairs a cell whose maximal chain prefix covers slots
 1..p+1 with the cell obtained by splitting slot p+2 as w'·w'' whenever the
@@ -20,12 +21,14 @@ the recursion stack raises MatchingError on a cycle).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .coeffalg import (
     UNIT,
     AlgebraElement,
     _letter_word_memo,
     normal_form,
+    parse_word,
     render_word,
 )
 
@@ -37,88 +40,25 @@ class MatchingError(RuntimeError):
     non-invertible weight or a traversal met a cycle (signals a matching bug)."""
 
 
-# -- obstruction sets and Anick chains -------------------------------------------
+# -- Anick chains ---------------------------------------------------------------
 
-class ObstructionSet:
-    """Leading words of a confluent presentation, as a predicate on words."""
-
-    def __init__(self, contains, max_len, name="obstructions"):
-        self._contains = contains
-        self.max_len = max_len
-        self.name = name
-
-    def __contains__(self, word):
-        return self._contains(tuple(word))
-
-
-#: leading words of the rewriting rule v(n)v(m) → v(0)v(n+m) + n·v(n+m-1)
-U2_OBSTRUCTIONS = ObstructionSet(
-    lambda w: len(w) == 2 and w[0] >= 1 and w[1] >= 0,
-    max_len=2,
-    name="U(2) coefficient algebra",
-)
-
-
-def _prechain_states(word, tiles, obstructions):
-    """Reachable (a_j, b_j) interval ends after j tiles, for j = 1..tiles."""
-    t = len(word)
-    levels = []
-    states = set()
-    for b in range(2, min(t, obstructions.max_len) + 1):
-        if word[0:b] in obstructions:
-            states.add((1, b))
-    levels.append(states)
-    for _ in range(1, tiles):
-        nxt = set()
-        for (a, b) in levels[-1]:
-            for a2 in range(a + 1, b + 1):
-                for b2 in range(b + 1, min(t, a2 + obstructions.max_len - 1) + 1):
-                    if word[a2 - 1:b2] in obstructions:
-                        nxt.add((a2, b2))
-        levels.append(nxt)
-    return levels
-
-
-def is_chain(word, degree, obstructions=U2_OBSTRUCTIONS):
+def is_chain(word, degree):
     """Whether a raw word is an Anick ``degree``-chain.
 
-    Degree -1 is the empty word, degree 0 a single letter; for degree n ≥ 1
-    the word must tile by n obstructions with Anick's minimality condition
-    (each b_m is the least end of any m-prechain prefix).
+    Degree -1 is the empty word and degree 0 a single letter; for degree
+    d ≥ 1 the word has d+1 letters, the first d of them ≥ 1.  Letters are
+    indices ≥ 0, so a negative one makes no chain.  This is the closed form
+    of Anick's tiling by the leading words v(a)v(b), a ≥ 1
+    (``checks.oracle_is_chain`` keeps the generic definition).
     """
     if isinstance(word, str):
-        from .coeffalg import parse_word
         word = parse_word(word)
-    word = tuple(word)
-    t = len(word)
-    if degree == -1:
-        return t == 0
-    if degree == 0:
-        return t == 1
-    if degree < -1 or t < 2:
-        return False
-    levels = _prechain_states(word, degree, obstructions)
-    # minimal end of an m-prechain prefix, for each m
-    minimal_ends = []
-    for states in levels:
-        if not states:
-            return False
-        minimal_ends.append(min(b for (_, b) in states))
-    if minimal_ends[-1] != t:
-        return False
-    # thread a placement through the minimal ends
-    current = {(a, b) for (a, b) in levels[0] if b == minimal_ends[0]}
-    for m in range(1, degree):
-        e = minimal_ends[m]
-        nxt = set()
-        for (a, b) in current:
-            for a2 in range(a + 1, b + 1):
-                if e > b and word[a2 - 1:e] in obstructions:
-                    nxt.add((a2, e))
-        current = nxt
-        if not current:
-            return False
-    return True
+    return (len(word) == degree + 1 and all(i >= 1 for i in word[:-1])
+            and (not word or word[-1] >= 0))
+
+
+#: most chains one enumeration may build (degree 7 at sum ≤ 16 needs 19448)
+MAX_CHAINS = 10 ** 6
 
 
 def chain_sort_key(chain):
@@ -129,10 +69,15 @@ def enumerate_chains(degree, max_sum):
     """All degree-n chains (i₁,…,iₙ) with Σiⱼ ≤ max_sum, in (sum, lex) order.
 
     Constraints: i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0 (for degree 1 just i₁ ≥ 0).
-    Degree 0 yields the single empty chain.
+    Degree 0 yields the single empty chain.  There are C(max_sum+1, n) of
+    them; more than ``MAX_CHAINS`` is refused before any is built.
     """
     if degree < 0 or max_sum < 0:
         raise ValueError("need degree >= 0 and max_sum >= 0")
+    count = comb(max_sum + 1, degree)
+    if count > MAX_CHAINS:
+        raise ValueError(f"{count} chains of degree {degree} with sum <= {max_sum}; "
+                         f"the limit is {MAX_CHAINS}")
     if degree == 0:
         return [()]
     out = []
@@ -163,12 +108,10 @@ def cell_letters(cell):
     return tuple(letters)
 
 
-def cell_is_chain(cell, obstructions=U2_OBSTRUCTIONS):
+def cell_is_chain(cell):
     """Whether a bar cell is a critical (chain) cell: single-letter slots
     whose concatenation is an Anick (len-1)-chain."""
-    if any(k for (k, _) in cell):
-        return False
-    return is_chain(cell_letters(cell), len(cell) - 1, obstructions)
+    return is_chain(cell_letters(cell), len(cell) - 1)
 
 
 def cell_to_chain(cell):
@@ -234,14 +177,19 @@ def bar_derivation(cell):
 
 # -- Morse matching ------------------------------------------------------------------
 
-def prefix_chain_degree(cell, obstructions=U2_OBSTRUCTIONS):
-    """Largest p ≥ -1 with slots 1..p+1 concatenating to an Anick p-chain."""
+def prefix_chain_degree(cell):
+    """Largest p ≥ -1 with slots 1..p+1 concatenating to an Anick p-chain.
+
+    Once a prefix fails (a multi-letter slot or an interior 0), every
+    longer prefix fails too, so the scan stops there.
+    """
     best = -1
     letters = ()
-    for q in range(len(cell)):
-        letters = letters + cell_letters((cell[q],))
-        if is_chain(letters, q, obstructions):
-            best = q
+    for q, slot in enumerate(cell):
+        letters = letters + cell_letters((slot,))
+        if not is_chain(letters, q):
+            break
+        best = q
     return best
 
 
@@ -266,7 +214,7 @@ def _merge_weight(split_cell, merged_cell):
     return scalar
 
 
-def matched_edge(cell, obstructions=U2_OBSTRUCTIONS):
+def matched_edge(cell):
     """Morse-matching partner of a bar cell, or None for critical cells.
 
     Returns (partner, direction, weight): direction 'up' when the partner
@@ -277,7 +225,7 @@ def matched_edge(cell, obstructions=U2_OBSTRUCTIONS):
     m = len(cell)
     if m == 0:
         return None
-    p = prefix_chain_degree(cell, obstructions)
+    p = prefix_chain_degree(cell)
 
     # merged end: split slot p+2 as w'·w'' with prefix+w' a (p+1)-chain
     if p + 2 <= m:
@@ -285,7 +233,7 @@ def matched_edge(cell, obstructions=U2_OBSTRUCTIONS):
         prefix = cell_letters(cell[:p + 1])
         slot_letters = cell_letters((slot,))
         for cut in range(1, len(slot_letters)):
-            if is_chain(prefix + slot_letters[:cut], p + 1, obstructions):
+            if is_chain(prefix + slot_letters[:cut], p + 1):
                 left, right = _split_word(slot, cut)
                 partner = cell[:p + 1] + (left, right) + cell[p + 2:]
                 weight = _merge_weight(partner, cell)
@@ -304,9 +252,9 @@ def matched_edge(cell, obstructions=U2_OBSTRUCTIONS):
         if merged_word is None:
             continue  # junction rewrites: merged cell is not a basis vertex
         merged = cell[:q + 1] + (merged_word,) + cell[q + 3:]
-        if prefix_chain_degree(merged, obstructions) != q:
+        if prefix_chain_degree(merged) != q:
             continue
-        if not is_chain(cell_letters(cell[:q + 2]), q + 1, obstructions):
+        if not is_chain(cell_letters(cell[:q + 2]), q + 1):
             continue
         hits.append((q, merged))
     if len(hits) > 1:
@@ -424,8 +372,8 @@ def anick_delta_closed(chain):
         + Σⱼ (-1)^j iⱼ [i₁|…|iⱼ+iⱼ₊₁-1|…|iₙ]
         + Σⱼ (-1)^j v(0) [i₁|…|iⱼ+iⱼ₊₁|…|iₙ]
         + Σⱼ Σ_{k<j} (-1)^j i_k [i₁|…|i_k-1|…|iⱼ+iⱼ₊₁|…|iₙ],
-    with every target violating the chain constraints dropped (an interior
-    index reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.
+    with every target that is not an Anick chain dropped (an interior index
+    reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.
     """
     n = len(chain)
     if n == 0:
@@ -433,9 +381,7 @@ def anick_delta_closed(chain):
     result = {}
 
     def add(target, coeff):
-        if len(target) >= 2 and any(i < 1 for i in target[:-1]):
-            return  # not an Anick chain
-        if target and target[-1] < 0:
+        if not is_chain(target, len(target) - 1):
             return
         prev = result.get(target)
         s = prev + coeff if prev is not None else coeff
@@ -488,8 +434,6 @@ def render_cell(cell):
 
 
 def parse_cell(text):
-    from .coeffalg import parse_word
-
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("bar cells look like [v(1)|v(0)v(2)]")

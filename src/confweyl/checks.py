@@ -3,7 +3,9 @@
 Each suite returns a dict with at least ``name``, ``passed`` and ``details``.
 The rewriting checks use a deliberately naive reducer (apply one rule at a
 chosen position, repeat to a fixpoint) as an oracle independent of the
-memoized engine in coeffalg.
+memoized engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
+definition, the reference the tests hold ``anick.is_chain`` to; no engine
+path calls it.
 """
 
 from __future__ import annotations
@@ -106,6 +108,75 @@ def check_confluence(count=1000, max_len=6, max_index=8, seed=2024):
             failures.append(word)
     return {"name": "confluence", "passed": not failures,
             "details": {"count": count, "failures": failures[:5]}}
+
+
+# -- generic Anick chain oracle ---------------------------------------------------------
+
+def _is_obstruction(word):
+    """Leading words of the rule v(n)v(m) → v(0)v(n+m) + n·v(n+m-1): v(a)v(b), a ≥ 1."""
+    return len(word) == 2 and word[0] >= 1 and word[1] >= 0
+
+
+_OBSTRUCTION_MAX_LEN = 2
+
+
+def _prechain_states(word, tiles):
+    """Reachable (a_j, b_j) interval ends after j tiles, for j = 1..tiles."""
+    t = len(word)
+    levels = []
+    states = set()
+    for b in range(2, min(t, _OBSTRUCTION_MAX_LEN) + 1):
+        if _is_obstruction(word[0:b]):
+            states.add((1, b))
+    levels.append(states)
+    for _ in range(1, tiles):
+        nxt = set()
+        for (a, b) in levels[-1]:
+            for a2 in range(a + 1, b + 1):
+                for b2 in range(b + 1, min(t, a2 + _OBSTRUCTION_MAX_LEN - 1) + 1):
+                    if _is_obstruction(word[a2 - 1:b2]):
+                        nxt.add((a2, b2))
+        levels.append(nxt)
+    return levels
+
+
+def oracle_is_chain(word, degree):
+    """Whether a raw word is an Anick ``degree``-chain, by the generic definition.
+
+    Degree -1 is the empty word, degree 0 a single letter; for degree n ≥ 1
+    the word must tile by n obstructions with Anick's minimality condition
+    (each b_m is the least end of any m-prechain prefix).
+    """
+    word = tuple(word)
+    t = len(word)
+    if degree == -1:
+        return t == 0
+    if degree == 0:
+        return t == 1
+    if degree < -1 or t < 2:
+        return False
+    levels = _prechain_states(word, degree)
+    # minimal end of an m-prechain prefix, for each m
+    minimal_ends = []
+    for states in levels:
+        if not states:
+            return False
+        minimal_ends.append(min(b for (_, b) in states))
+    if minimal_ends[-1] != t:
+        return False
+    # thread a placement through the minimal ends
+    current = {(a, b) for (a, b) in levels[0] if b == minimal_ends[0]}
+    for m in range(1, degree):
+        e = minimal_ends[m]
+        nxt = set()
+        for (a, b) in current:
+            for a2 in range(a + 1, b + 1):
+                if e > b and _is_obstruction(word[a2 - 1:e]):
+                    nxt.add((a2, e))
+        current = nxt
+        if not current:
+            return False
+    return True
 
 
 # -- resolution suites ------------------------------------------------------------------

@@ -9,6 +9,7 @@ codes: 0 success / all checks passed, 1 a check or verification failed,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -19,6 +20,7 @@ from .anick import (
     enumerate_chains,
     homotopy_f,
     homotopy_g,
+    is_chain,
     parse_cell,
     parse_chain,
     render_cell,
@@ -93,7 +95,7 @@ def cmd_chains(args):
 
 
 def _require_chain(chain, text):
-    if any(i < 0 for i in chain) or (len(chain) >= 2 and any(i < 1 for i in chain[:-1])):
+    if not is_chain(chain, len(chain) - 1):
         raise ValueError(f"{text} is not an Anick chain")
 
 
@@ -133,26 +135,9 @@ def cmd_homotopy(args):
     return 0
 
 
-_SUITE_PARAMS = {
-    "confluence": ("count", "max_len", "max_index", "seed"),
-    "delta-squared": ("max_degree", "max_sum"),
-    "morse-closed": ("max_degree", "max_sum"),
-    "fdg": ("max_degree", "max_sum"),
-    "fg-identity": ("max_degree", "max_sum"),
-    "matching": (),
-    "chain-kill": ("max_degree", "max_sum"),
-    "conformal-axioms": (),
-    "conformal-associativity": (),
-    "module-axioms": (),
-    "chain-map": ("max_degree", "window_sum", "module"),
-    "nabla-squared": ("max_degree", "window_sum", "module"),
-    "reduction-soundness": ("window_sum", "module"),
-}
-
-
 def cmd_check(args):
-    kwargs = {}
-    allowed = _SUITE_PARAMS.get(args.suite, ())
+    # forward each given flag the suite takes as a keyword
+    allowed = inspect.signature(checks.SUITES[args.suite]).parameters
     mapping = {
         "max_degree": args.max_degree,
         "max_sum": args.max_sum,
@@ -160,9 +145,7 @@ def cmd_check(args):
         "window_sum": args.window,
         "module": args.module,
     }
-    for key, val in mapping.items():
-        if key in allowed and val is not None:
-            kwargs[key] = val
+    kwargs = {key: val for key, val in mapping.items() if key in allowed and val is not None}
     result = checks.run_suite(args.suite, **kwargs)
     status = "PASS" if result["passed"] else "FAIL"
     text = f"{result['name']}: {status}"

@@ -215,11 +215,6 @@ def normal_form(word):
     return AlgebraElement(result)
 
 
-def multiply(x, y):
-    """Product in Λ (bilinear extension of concatenation + rewriting)."""
-    return x * y
-
-
 def derivation(x):
     """Leibniz extension of ∂(v(n)) = -n·v(n-1); ∂(v(0)) = 0, ∂(1) = 0."""
     terms = {}

@@ -209,20 +209,6 @@ def _split_lambda(coords, rank):
     return out
 
 
-# -- free-function forms of the actions ---------------------------------------------
-
-def act_lambda(c, m, module):
-    return module.act_lambda(c, m)
-
-
-def act_vn(n, m, module):
-    return module.act_vn(n, m)
-
-
-def module_derivation(m):
-    return m.poly_mul(D)
-
-
 def check_locality_compat(alpha, delta):
     """λ-degree criterion for M(α,Δ) to carry the locality-2 product.
 

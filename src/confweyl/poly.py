@@ -11,10 +11,7 @@ name is expected and in the text parser.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 import re
-
-Rational = Fraction
 
 VAR_NAMES = ("d", "v", "l", "m")
 PRETTY_NAMES = ("∂", "v", "λ", "μ")
@@ -279,18 +276,6 @@ L = Poly.variable("l")
 M = Poly.variable("m")
 
 
-# -- free-function forms ------------------------------------------------------
-
-def derivative(f, name, k=1):
-    """k-fold formal derivative of ``f`` with respect to one variable."""
-    return f.derivative(name, k)
-
-
-def shift(f, name, offset):
-    """``f`` with ``name`` replaced by ``name + offset``, expanded."""
-    return f.shift(name, offset)
-
-
 def split_constant(f):
     """Split a ∂-polynomial as f = c + ∂·g; returns (c, g) exactly."""
     if not f.uses_only(("d",)):
@@ -393,12 +378,3 @@ def parse_poly(text):
         i += 1
     flush()
     return result
-
-
-def render_rational(q):
-    """p/q text form (plain integer when the denominator is 1)."""
-    return str(q)
-
-
-def parse_rational(text):
-    return Fraction(text.strip())

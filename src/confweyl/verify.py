@@ -387,10 +387,10 @@ CRITERIA = (
 
 
 def run_all(ids=None):
-    results = []
-    for fn in CRITERIA:
-        cid = int(fn.__name__.rsplit("_", 1)[1])
-        if ids and cid not in ids:
-            continue
-        results.append(fn())
+    by_id = {int(fn.__name__.rsplit("_", 1)[1]): fn for fn in CRITERIA}
+    unknown = sorted(set(ids or ()) - set(by_id))
+    if unknown:
+        raise ValueError(f"unknown criterion ids {unknown}; "
+                         f"valid ids are {min(by_id)}-{max(by_id)}")
+    results = [fn() for cid, fn in by_id.items() if not ids or cid in ids]
     return {"passed": all(r["passed"] for r in results), "criteria": results}

@@ -13,6 +13,7 @@ from confweyl.anick import (
     bar_derivation,
     bar_differential,
     cell_is_chain,
+    cell_letters,
     chain_to_cell,
     clear_caches,
     enumerate_chains,
@@ -31,6 +32,7 @@ from confweyl.checks import (
     _sample_cells,
     check_chain_kill,
     check_matching,
+    oracle_is_chain,
 )
 from confweyl.coeffalg import AlgebraElement
 
@@ -55,14 +57,27 @@ def test_is_chain_low_degrees():
 
 
 def test_is_chain_matches_closed_form():
-    # closed form: i₁..iₙ ≥ 1, i_{n+1} ≥ 0, word length n+1
+    # every word of length ≤ 5 over v(0)..v(3): the generic tiling oracle and
+    # the closed form (i₁..i_d ≥ 1, i_{d+1} ≥ 0, length d+1) both agree with is_chain
     import itertools
-    for length in range(1, 5):
+    for length in range(0, 6):
         for word in itertools.product(range(0, 4), repeat=length):
-            for deg in range(0, length + 1):
+            for deg in range(-2, 7):
                 expect = (len(word) == deg + 1
                           and all(i >= 1 for i in word[:deg]))
+                assert oracle_is_chain(word, deg) == expect, (word, deg)
                 assert is_chain(word, deg) == expect, (word, deg)
+
+
+@given(st.lists(st.integers(0, 6), max_size=9).map(tuple), st.integers(-2, 10))
+@settings(max_examples=200, deadline=None)
+def test_is_chain_matches_oracle(word, degree):
+    assert is_chain(word, degree) == oracle_is_chain(word, degree)
+
+
+def test_cell_is_chain_matches_oracle():
+    for cell in _sample_cells(3, 5, 4):
+        assert cell_is_chain(cell) == oracle_is_chain(cell_letters(cell), len(cell) - 1), cell
 
 
 def test_enumerate_chains_examples():
@@ -76,8 +91,9 @@ def test_enumerate_chains_agrees_with_is_chain():
     for degree in (1, 2, 3):
         listed = set(enumerate_chains(degree, 4))
         for tup in itertools.product(range(0, 5), repeat=degree):
-            member = is_chain(tup, degree - 1) and sum(tup) <= 4
+            member = oracle_is_chain(tup, degree - 1) and sum(tup) <= 4
             assert (tup in listed) == member, (tup, degree)
+            assert is_chain(tup, degree - 1) == oracle_is_chain(tup, degree - 1)
 
 
 def test_bar_differential_examples():

@@ -115,6 +115,41 @@ def test_invalid_inputs_exit_2(capture):
     assert capture("cohomology", "--degree", "1", "--module", "nope",
                    "--window", "8")[0] == 2
     assert capture("chains", "--degree", "2")[0] == 2  # missing required flag
+    assert capture("delta", "[2|-1]")[0] == 2  # negative index
+    assert capture("homotopy", "g", "[1|0|2]")[0] == 2
+    code, _, err = capture("verify", "--only", "11")
+    assert code == 2 and "1-10" in err
+    assert capture("verify", "--only", "0", "--format", "json")[0] == 2
+
+
+def test_oversized_enumerations_exit_2_at_once(capture):
+    # C(201, 12) and C(201, 11) chains: refused before any is built
+    code, _, err = capture("chains", "--degree", "12", "--max-sum", "200")
+    assert code == 2 and "limit" in err
+    code, _, err = capture("cohomology", "--degree", "10", "--module",
+                           "M(alpha=1,delta=1)", "--window", "200")
+    assert code == 2 and "limit" in err
+
+
+def test_check_forwards_only_the_suite_keywords(capture, monkeypatch):
+    from confweyl import checks
+
+    seen = {}
+
+    def recorder(name):
+        def suite(max_degree=3, max_sum=6):
+            seen[name] = {"max_degree": max_degree, "max_sum": max_sum}
+            return {"name": name, "passed": True, "details": {}}
+        return suite
+
+    monkeypatch.setitem(checks.SUITES, "chain-kill", recorder("chain-kill"))
+    monkeypatch.setitem(checks.SUITES, "fdg", recorder("fdg"))
+    assert capture("check", "--suite", "chain-kill", "--max-degree", "2",
+                   "--max-sum", "4")[0] == 0
+    assert seen["chain-kill"] == {"max_degree": 2, "max_sum": 4}
+    # fdg takes no count, so --count is not forwarded (it would raise TypeError)
+    assert capture("check", "--suite", "fdg", "--count", "5", "--window", "3")[0] == 0
+    assert seen["fdg"] == {"max_degree": 3, "max_sum": 6}
 
 
 def test_failed_check_exits_1(capture, monkeypatch):

@@ -12,7 +12,6 @@ from confweyl.coeffalg import (
     AlgebraElement,
     coeff_image,
     derivation,
-    multiply,
     normal_form,
     parse_word,
     render_algebra_element,
@@ -60,12 +59,12 @@ def test_confluence_of_strategies(word):
 
 def test_multiply_examples():
     v0, v1 = AlgebraElement.letter(0), AlgebraElement.letter(1)
-    assert multiply(v0, v1) == AlgebraElement.word(1, 1)
-    assert multiply(v1 + v0, v0) == (
+    assert v0 * v1 == AlgebraElement.word(1, 1)
+    assert (v1 + v0) * v0 == (
         AlgebraElement.word(1, 1) + AlgebraElement.word(0, 0) + AlgebraElement.word(1, 0)
     )
     x = normal_form("v(2)v(3)")
-    assert multiply(AlgebraElement.one(), x) == x
+    assert AlgebraElement.one() * x == x
 
 
 @given(elements, elements, elements)

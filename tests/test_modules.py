@@ -9,11 +9,8 @@ from confweyl.conformal import ConformalElement, lambda_product
 from confweyl.modules import (
     ModuleElement,
     ModuleValidationError,
-    act_lambda,
-    act_vn,
     check_locality_compat,
     make_module,
-    module_derivation,
     module_ext,
     module_m,
     module_trivial,
@@ -57,7 +54,7 @@ def test_act_lambda_closed_examples():
         0: m.element((D + 2) * (D + 2)),
         1: m.element(D + 2),
     }
-    du = module_derivation(u)
+    du = m.derivation(u)
     got = m.act_lambda(v, du)
     # (∂+λ)(α+∂+λ)u split by λ-degree
     assert got == {0: m.element(D * (D + 2)), 1: m.element(2 * D + 2), 2: u}
@@ -66,18 +63,18 @@ def test_act_lambda_closed_examples():
 def test_act_vn_examples():
     m = module_m(Fraction(5), 1)
     u = m.basis()[0]
-    assert act_vn(0, u, m) == m.element(D + 5)
-    assert act_vn(1, u, m) == u
-    assert act_vn(2, u, m).is_zero()
+    assert m.act_vn(0, u) == m.element(D + 5)
+    assert m.act_vn(1, u) == u
+    assert m.act_vn(2, u).is_zero()
     d2u = u.poly_mul(D * D)
-    assert act_vn(2, d2u, m) == m.element(6 * D + 10)
+    assert m.act_vn(2, d2u) == m.element(6 * D + 10)
 
 
 def test_module_derivation_examples():
     m = module_m(0, 1)
     u = m.basis()[0]
-    assert module_derivation(m.element(D + 1)) == m.element(D * D + D)
-    assert module_derivation(u) == m.element(D)
+    assert m.derivation(m.element(D + 1)) == m.element(D * D + D)
+    assert m.derivation(u) == m.element(D)
 
 
 @pytest.mark.parametrize("spec", ["M(alpha=0,delta=1)", "M(alpha=1,delta=1)",
