@@ -227,17 +227,16 @@ def matched_edge(cell):
         return None
     p = prefix_chain_degree(cell)
 
-    # merged end: split slot p+2 as w'·w'' with prefix+w' a (p+1)-chain
+    # merged end: split slot p+2 as w'·w'' with prefix+w' a (p+1)-chain; the
+    # prefix has p+1 letters and a (p+1)-chain p+2, so w' is one letter
     if p + 2 <= m:
         slot = cell[p + 1]
-        prefix = cell_letters(cell[:p + 1])
-        slot_letters = cell_letters((slot,))
-        for cut in range(1, len(slot_letters)):
-            if is_chain(prefix + slot_letters[:cut], p + 1):
-                left, right = _split_word(slot, cut)
-                partner = cell[:p + 1] + (left, right) + cell[p + 2:]
-                weight = _merge_weight(partner, cell)
-                return partner, "up", weight
+        letters = cell_letters(cell[:p + 2])
+        if len(letters) > p + 2 and is_chain(letters[:p + 2], p + 1):
+            left, right = _split_word(slot, 1)
+            partner = cell[:p + 1] + (left, right) + cell[p + 2:]
+            weight = _merge_weight(partner, cell)
+            return partner, "up", weight
 
     # split end: merge slots q+2, q+3 where the merged cell has prefix degree q
     hits = []

@@ -300,3 +300,29 @@ def test_chain_text_forms():
         parse_cell("[v(1)v(2)]")  # not a normal word
     combo = anick_delta_morse((2, 3))
     assert render_combination(combo, render_chain) == "v(2)*[3] - 2*[4] - v(0)*[5]"
+
+
+def _merged_partner_by_every_cut(cell):
+    """Merged-end partner found by trying every cut of slot p+2 with the oracle."""
+    from confweyl.anick import _split_word, prefix_chain_degree
+
+    p = prefix_chain_degree(cell)
+    if p + 2 > len(cell):
+        return None
+    prefix, slot = cell_letters(cell[:p + 1]), cell[p + 1]
+    letters = cell_letters((slot,))
+    for cut in range(1, len(letters)):
+        if oracle_is_chain(prefix + letters[:cut], p + 1):
+            left, right = _split_word(slot, cut)
+            return cell[:p + 1] + (left, right) + cell[p + 2:]
+    return None
+
+
+def test_merged_end_splits_after_one_letter():
+    for cell in _sample_cells(3, 5, 4):
+        partner = _merged_partner_by_every_cut(cell)
+        edge = matched_edge(cell)
+        if partner is None:
+            assert edge is None or edge[1] == "down", cell
+        else:
+            assert edge[:2] == (partner, "up"), cell

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confweyl import ratmat
 from confweyl.anick import enumerate_chains
 from confweyl.checks import check_nabla_squared, check_reduction_soundness
 from confweyl.cohomology import (
@@ -22,6 +23,7 @@ from confweyl.cohomology import (
 )
 from confweyl.modules import make_module, module_ext, module_m, module_trivial
 from confweyl.poly import D, Poly, parse_poly
+from confweyl.ratmat import rank_of_vectors
 from confweyl.verify import (
     nabla1_reference_matrix,
     nabla2_reference_matrix,
@@ -270,3 +272,36 @@ def test_restriction_equals_smaller_window(module, degree, W):
     assert restricted.row_labels == direct.row_labels
     assert restricted.col_labels == direct.col_labels
     assert restricted.columns == direct.columns
+
+
+def _fraction_route(rows):
+    """RREF over Q of fresh rows by the Fraction fallback of ``ratmat`` alone.
+
+    Returns {lead: row}, each row without its lead entry, which is 1.
+    """
+    return ratmat._rref(rows, ratmat._subtract, ratmat._normalise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(1, 4), W=st.integers(4, 7))
+def test_modular_elimination_matches_fraction_route(module, degree, W):
+    # the ratmat calls of cohomology_dim, each against the Fraction route
+    window = Window(W)
+    a_n = assemble_matrix(degree, module, window)
+    a_prev = assemble_matrix(degree - 1, module, window)
+
+    rref = _fraction_route(a_n.rows())
+    want = {f: {f: Fraction(1)} for f in range(a_n.ncols) if f not in rref}
+    for lead, row in rref.items():
+        for f, v in row.items():
+            want[f][lead] = -v
+    kernel = a_n.nullspace()
+    assert kernel == list(want.values())
+
+    col_keep = [sum(chain) <= window.inner for chain, _ in a_n.col_labels]
+    projected = [{j: v for j, v in vec.items() if col_keep[j]} for vec in kernel]
+    assert rank_of_vectors(kernel, lambda j: col_keep[j]) == len(_fraction_route(projected))
+
+    row_keep = [sum(chain) <= window.inner for chain, _ in a_prev.row_labels]
+    assert a_prev.rank(lambda i: row_keep[i]) \
+        == len(_fraction_route(a_prev.rows(lambda i: row_keep[i])))

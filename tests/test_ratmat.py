@@ -3,10 +3,17 @@ import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
-from confweyl.ratmat import RationalMatrix, rank_of_vectors
+from confweyl import ratmat
+from confweyl.ratmat import P, RationalMatrix, rank_of_vectors
 
-entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# values that can send a matrix to the Fraction fallback: a multiple of P
+# vanishes mod P, 1/P scales its row by P, and 3⁴⁰ beside 2⁴¹ gives an RREF
+# entry too tall to lift
+_UNLIFTABLE = (Fraction(P), Fraction(2 * P), Fraction(1, P), Fraction(3 ** 40), Fraction(2 ** 41))
+entries = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                    st.sampled_from(_UNLIFTABLE))
 
 
 @st.composite
@@ -112,3 +119,49 @@ def test_nullspace_is_the_rref_kernel_basis(matrix, rng):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert _matrix(ncols, shuffled).nullspace() == kernel
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The field of every ``_rref`` call, in order: "mod P" or "Q"."""
+    seen = []
+    rref = ratmat._rref
+
+    def spy(rows, subtract, normalise):
+        seen.append("Q" if subtract is ratmat._subtract else "mod P")
+        return rref(rows, subtract, normalise)
+
+    monkeypatch.setattr(ratmat, "_rref", spy)
+    return seen
+
+
+def _pinned(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    return len(rows[0]), rows
+
+
+@pytest.mark.parametrize("matrix, rank, route", [
+    # staircase: certified on the modular route
+    (_STAIRCASE, 3, ["mod P"]),
+    # unlucky prime: the row (0, P) vanishes mod P, so rank_P = 1 < rank_Q = 2
+    (_pinned([[2, 1], [0, P]]), 2, ["mod P", "Q"]),
+    # reconstruction overflow: the RREF entry 2⁴¹/3⁴⁰ has height > 2³⁰
+    (_pinned([[3 ** 40, 2 ** 41]]), 1, ["mod P", "Q"]),
+    # 1/P: the row scales to (1, P), and no modular inverse of P is taken
+    (_pinned([[Fraction(1, P), 1]]), 1, ["mod P", "Q"]),
+    # rank_P = rank_Q, but (0, P, 5) reduces to (0, 0, 5) mod P: the lifted
+    # RREF is wrong, and only the certificate sees it
+    (_pinned([[2, 1, 0], [0, P, 5]]), 2, ["mod P", "Q"]),
+])
+def test_certificate_or_fallback_pinned(matrix, rank, route, routes):
+    ncols, rows = matrix
+    a = _matrix(ncols, rows)
+    assert a.rank() == rank == _oracle_rank(ncols, rows)
+    assert routes == route
+    routes.clear()
+    kernel = a.nullspace()
+    assert kernel == _oracle_kernel(ncols, rows)
+    assert routes == route
+    for vec in kernel:
+        assert a.matvec(vec) == {}
+
