@@ -27,12 +27,11 @@ from .coeffalg import (
     UNIT,
     AlgebraElement,
     _letter_word_memo,
+    _word_product,
     normal_form,
     parse_word,
     render_word,
 )
-
-_F1 = Fraction(1)
 
 
 class MatchingError(RuntimeError):
@@ -126,9 +125,10 @@ def bar_differential(cell):
     """Differential of the normalized bar complex.
 
     d[a₁|…|aₙ] = a₁[a₂|…|aₙ] + Σᵢ (-1)^i [a₁|…|N(aᵢaᵢ₊₁)|…|aₙ], where the
-    merged slot expands linearly over the normal basis.  Degree-1 cells map
-    to a₁ times the empty cell (the Λ-part of B₀).  Returns a dict
-    BarCell -> AlgebraElement.
+    merged slot expands linearly over the normal basis; the product of two
+    normal words is read from the table ``_word_product``.  Degree-1 cells
+    map to a₁ times the empty cell (the Λ-part of B₀).  Returns a dict
+    BarCell -> AlgebraElement, with integer coefficients.
     """
     n = len(cell)
     if n == 0:
@@ -146,10 +146,8 @@ def bar_differential(cell):
     head = AlgebraElement({cell[0]: 1})
     add(cell[1:], head)
     for i in range(n - 1):
-        sign = -_F1 if i % 2 == 0 else _F1  # (-1)^{i+1} for 1-based position i+1
-        wa, wb = cell[i], cell[i + 1]
-        letters = cell_letters((wa, wb))
-        for w, c in normal_form(letters).terms.items():
+        sign = -1 if i % 2 == 0 else 1  # (-1)^{i+1} for 1-based position i+1
+        for w, c in _word_product(cell[i], cell[i + 1]).items():
             if w is UNIT:
                 raise MatchingError("slot merge produced a unit term")
             target = cell[:i] + (w,) + cell[i + 2:]
@@ -160,14 +158,14 @@ def bar_differential(cell):
 def bar_derivation(cell):
     """Slot-wise derivation: Σᵢ [a₁|…|∂(aᵢ)|…|aₙ] with ∂v(n) = -n·v(n-1).
 
-    Slots whose derivative vanishes drop out.  Returns BarCell -> Fraction.
+    Slots whose derivative vanishes drop out.  Returns BarCell -> int.
     """
     out = {}
     for i, (k, n) in enumerate(cell):
         if n == 0:
             continue
         target = cell[:i] + ((k, n - 1),) + cell[i + 1:]
-        s = out.get(target, Fraction(0)) - n
+        s = out.get(target, 0) - n
         if s:
             out[target] = s
         else:
@@ -214,6 +212,11 @@ def _merge_weight(split_cell, merged_cell):
     return scalar
 
 
+def _negated_inverse(weight):
+    """-1/weight, exactly: an int for the unit weights ±1, else a Fraction."""
+    return -weight if weight in (1, -1) else -1 / Fraction(weight)
+
+
 def matched_edge(cell):
     """Morse-matching partner of a bar cell, or None for critical cells.
 
@@ -241,11 +244,10 @@ def matched_edge(cell):
     # split end: merge slots q+2, q+3 where the merged cell has prefix degree q
     hits = []
     for q in range(-1, m - 2):
-        joined = normal_form(cell_letters(cell[q + 1:q + 3]))
-        words = [w for w in joined.terms if w is not UNIT]
+        letters = cell_letters(cell[q + 1:q + 3])
         merged_word = None
-        for w in words:
-            if cell_letters((w,)) == cell_letters(cell[q + 1:q + 3]):
+        for w in _word_product(cell[q + 1], cell[q + 2]):
+            if w is not UNIT and cell_letters((w,)) == letters:
                 merged_word = w
                 break
         if merged_word is None:
@@ -270,6 +272,7 @@ def matched_edge(cell):
 _f_memo = {}
 _ascend_memo = {}
 _delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
+_twist_cache = {}  # chain -> the derivation twist D's terms; filled by cohomology.twist_terms
 
 
 def _combine(acc, coeff, combo):
@@ -305,7 +308,7 @@ def homotopy_f(cell, _stack=None):
         result = {}
     else:
         partner, _, weight = edge
-        inv = -_F1 / weight
+        inv = _negated_inverse(weight)
         _stack.add(cell)
         result = {}
         for target, coeff in bar_differential(partner).items():
@@ -331,7 +334,7 @@ def _ascend(cell, _stack=None):
         if cell in _stack:
             raise MatchingError(f"cycle in Morse graph traversal at {cell}")
         partner, _, weight = edge
-        inv = -_F1 / weight
+        inv = _negated_inverse(weight)
         _stack.add(cell)
         result = {partner: AlgebraElement.scalar(inv)}
         for target, coeff in bar_differential(partner).items():
@@ -391,7 +394,7 @@ def anick_delta_closed(chain):
 
     add(chain[1:], AlgebraElement.letter(chain[0]))
     for j in range(1, n):  # merge of 1-based positions j, j+1
-        sign = -_F1 if j % 2 else _F1
+        sign = -1 if j % 2 else 1
         merged = chain[:j - 1] + (chain[j - 1] + chain[j],) + chain[j + 1:]
         dec_merged = chain[:j - 1] + (chain[j - 1] + chain[j] - 1,) + chain[j + 1:]
         add(dec_merged, AlgebraElement.scalar(sign * chain[j - 1]))
@@ -404,11 +407,13 @@ def anick_delta_closed(chain):
 
 def clear_caches():
     """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``),
-    the δ terms ``_delta_cache`` that ∇ assembly reads, and the
+    the δ terms ``_delta_cache`` that ∇ assembly reads, the derivation-twist
+    terms ``_twist_cache`` that ``cohomology.d_map`` reads, and the
     letter-by-word rewriting table ``coeffalg._letter_word_memo``."""
     _f_memo.clear()
     _ascend_memo.clear()
     _delta_cache.clear()
+    _twist_cache.clear()
     _letter_word_memo.clear()
 
 

@@ -16,6 +16,7 @@ import random
 
 from . import anick, coeffalg, cohomology, conformal, modules
 from .anick import (
+    _combine,
     anick_delta_closed,
     anick_delta_morse,
     bar_derivation,
@@ -184,14 +185,7 @@ def oracle_is_chain(word, degree):
 def _delta_of_combination(combo):
     out = {}
     for chain, coeff in combo.items():
-        for y, c2 in anick_delta_closed(chain).items():
-            term = coeff * c2
-            prev = out.get(y)
-            s = prev + term if prev is not None else term
-            if s.is_zero():
-                out.pop(y, None)
-            else:
-                out[y] = s
+        _combine(out, coeff, anick_delta_closed(chain))
     return out
 
 
@@ -221,14 +215,9 @@ def _fdg(chain):
     out = {}
     for cell, coeff in homotopy_g(chain).items():
         for y, c2 in bar_differential(cell).items():
-            for chn, c3 in homotopy_f(y).items():
-                term = coeff * c2 * c3
-                prev = out.get(chn)
-                s = prev + term if prev is not None else term
-                if s.is_zero():
-                    out.pop(chn, None)
-                else:
-                    out[chn] = s
+            projected = homotopy_f(y)
+            if projected:  # split ends project to 0; skip their product
+                _combine(out, coeff * c2, projected)
     return out
 
 
@@ -249,14 +238,7 @@ def check_fg_identity(max_degree=3, max_sum=7):
         for chain in enumerate_chains(degree, max_sum):
             out = {}
             for cell, coeff in homotopy_g(chain).items():
-                for chn, c3 in homotopy_f(cell).items():
-                    term = coeff * c3
-                    prev = out.get(chn)
-                    s = prev + term if prev is not None else term
-                    if s.is_zero():
-                        out.pop(chn, None)
-                    else:
-                        out[chn] = s
+                _combine(out, coeff, homotopy_f(cell))
             if out != {chain: AlgebraElement.one()}:
                 failures.append(chain)
     return {"name": "fg-identity", "passed": not failures,

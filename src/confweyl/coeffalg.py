@@ -10,6 +10,14 @@ the pair (k, n); the unit of Λ is the distinguished key ``UNIT``.  The
 derivation is the Leibniz extension of ∂(v(n)) = -n·v(n-1), and the
 coefficient map sends a conformal element c to its mode c(n) expressed in
 the normal basis.
+
+The structure constants are integers: the rewriting rule, the product table
+``_word_product`` and the derivation all have coefficients in ℤ, and the
+scalar field stays Q.  An ``AlgebraElement`` stores every integral
+coefficient as an ``int`` and any other as a ``Fraction`` (never
+``Fraction(n, 1)``), so products and sums of integral elements never build
+a Fraction.  ``1 == Fraction(1)`` and both hash alike, so equality, hashing
+and rendering do not see the storage type.
 """
 
 from __future__ import annotations
@@ -21,31 +29,36 @@ from .conformal import ConformalElement
 
 UNIT = None  # the unit word of Λ
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _exact(c):
+    """A coefficient in its stored form: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
 
 # letter-by-word products v(a)·v(0)^k v(n), keyed by (a, k, n)
 _letter_word_memo = {}
 
 
 def _letter_word(a, k, n):
-    """Normal form of v(a)·v(0)^k v(n) as a dict {(k', n'): coeff}."""
+    """Normal form of v(a)·v(0)^k v(n) as a dict {(k', n'): int coeff}."""
     if a == 0:
-        return {(k + 1, n): _F1}
+        return {(k + 1, n): 1}
     key = (a, k, n)
     cached = _letter_word_memo.get(key)
     if cached is not None:
         return cached
     if k == 0:
         # single rewriting step; n ≥ 0 and a ≥ 1 keep a+n-1 ≥ 0
-        out = {(1, a + n): _F1, (0, a + n - 1): Fraction(a)}
+        out = {(1, a + n): 1, (0, a + n - 1): a}
     else:
         # v(a)v(0) = v(0)v(a) + a·v(a-1), then recurse past the v(0)
         out = {}
         for w, c in _letter_word(a, k - 1, n).items():
-            out[(w[0] + 1, w[1])] = out.get((w[0] + 1, w[1]), _F0) + c
+            out[(w[0] + 1, w[1])] = out.get((w[0] + 1, w[1]), 0) + c
         for w, c in _letter_word(a - 1, k - 1, n).items():
-            out[w] = out.get(w, _F0) + Fraction(a) * c
+            out[w] = out.get(w, 0) + a * c
         out = {w: c for w, c in out.items() if c}
     _letter_word_memo[key] = out
     return out
@@ -59,7 +72,11 @@ def _word_sort_key(word):
 
 
 class AlgebraElement:
-    """Exact linear combination of normal words of Λ."""
+    """Exact linear combination of normal words of Λ.
+
+    ``terms`` maps normal words to nonzero coefficients, each an ``int``
+    when integral and a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms",)
 
@@ -67,7 +84,7 @@ class AlgebraElement:
         cleaned = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                c = c if type(c) is int else _exact(Fraction(c))
                 if c:
                     cleaned[w] = c
         self.terms = cleaned
@@ -101,7 +118,7 @@ class AlgebraElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, _F0) + c
+            s = _exact(terms.get(w, 0) + c)
             if s:
                 terms[w] = s
             else:
@@ -119,9 +136,9 @@ class AlgebraElement:
         return out
 
     def scale(self, q):
-        q = Fraction(q)
+        q = q if type(q) is int else _exact(Fraction(q))
         out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = {w: c * q for w, c in self.terms.items()} if q else {}
+        out.terms = {w: _exact(c * q) for w, c in self.terms.items()} if q else {}
         return out
 
     def __mul__(self, other):
@@ -132,7 +149,7 @@ class AlgebraElement:
             for wb, cb in other.terms.items():
                 c = ca * cb
                 for w, cw in _word_product(wa, wb).items():
-                    s = terms.get(w, _F0) + c * cw
+                    s = _exact(terms.get(w, 0) + c * cw)
                     if s:
                         terms[w] = s
                     else:
@@ -160,12 +177,13 @@ class AlgebraElement:
 
     def augmentation(self):
         """ε: kills every non-unit word."""
-        return self.terms.get(UNIT, _F0)
+        return self.terms.get(UNIT, 0)
 
     def scalar_part(self):
-        """The k·1 component as a Fraction, or None if non-scalar terms exist."""
+        """The k·1 component (an int or a Fraction), or None if non-scalar
+        terms exist."""
         if not self.terms:
-            return _F0
+            return 0
         if len(self.terms) == 1 and UNIT in self.terms:
             return self.terms[UNIT]
         return None
@@ -178,11 +196,12 @@ class AlgebraElement:
 
 
 def _word_product(wa, wb):
-    """Product of two normal words as a dict over normal words."""
+    """Product of two normal words as a dict over normal words, with int
+    coefficients; read from the letter-by-word table."""
     if wa is UNIT:
-        return {wb: _F1}
+        return {wb: 1}
     if wb is UNIT:
-        return {wa: _F1}
+        return {wa: 1}
     ka, na = wa
     kb, nb = wb
     # v(0)^ka v(na) · v(0)^kb v(nb): push v(na) through, then prepend v(0)^ka
@@ -196,17 +215,17 @@ def normal_form(word):
     """Rewrite a raw word (sequence of letter indices) to the normal basis."""
     if isinstance(word, str):
         word = parse_word(word)
-    result = {UNIT: _F1}
+    result = {UNIT: 1}
     for letter in reversed(tuple(word)):
         if letter < 0:
             raise ValueError("letter indices must be nonnegative")
         new = {}
         for w, c in result.items():
             if w is UNIT:
-                new[(0, letter)] = new.get((0, letter), _F0) + c
+                new[(0, letter)] = new.get((0, letter), 0) + c
             else:
                 for w2, c2 in _letter_word(letter, w[0], w[1]).items():
-                    s = new.get(w2, _F0) + c * c2
+                    s = new.get(w2, 0) + c * c2
                     if s:
                         new[w2] = s
                     else:
@@ -225,7 +244,7 @@ def derivation(x):
         if n:
             # only the tail letter survives: ∂ kills each v(0) factor
             key = (k, n - 1)
-            s = terms.get(key, _F0) - Fraction(n) * c
+            s = _exact(terms.get(key, 0) - n * c)
             if s:
                 terms[key] = s
             else:
@@ -246,10 +265,10 @@ def coeff_image(c, n):
         m = n - a
         if m < 0:
             continue
-        fall = _F1
+        fall = 1
         for i in range(a):
             fall *= n - i
-        sign = -_F1 if a % 2 else _F1
+        sign = -1 if a % 2 else 1
         out = out + AlgebraElement({(j - 1, m): coeff * sign * fall})
     return out
 

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .anick import (
     _delta_cache,
+    _twist_cache,
     anick_delta_closed,
     bar_derivation,
     cell_is_chain,
@@ -162,27 +163,54 @@ def _decrements(chain):
         yield k, i, dec
 
 
+def twist_terms(chain):
+    """The derivation twist D at one chain, by the homotopy route.
+
+    Returns the pairs (b, λ_b), λ_b ∈ Λ, with (Dφ)(a) = ∂(φ(a)) - Σ λ_b·φ(b)
+    for every cochain φ: the chain terms of ∂ₙ(gₙ(a)), where ∂ₙ acts on
+    Λ-coefficients by the derivation of Λ and slot-wise on cells
+    (``bar_derivation``), with every cell that is not an Anick chain
+    dropped and the terms of each b combined.  D is module-independent and
+    its terms at a chain do not depend on the window, so they are built
+    once per chain and kept in ``anick._twist_cache``.
+    """
+    got = _twist_cache.get(chain)
+    if got is None:
+        acc = {}
+        for cell, coeff in homotopy_g(chain).items():
+            parts = [(cell, lambda_derivation(coeff))]
+            parts.extend((cell2, coeff.scale(n)) for cell2, n in bar_derivation(cell).items())
+            for cell2, lam in parts:
+                if not lam or not cell_is_chain(cell2):
+                    continue
+                b = cell_to_chain(cell2)
+                s = acc[b] + lam if b in acc else lam
+                if s:
+                    acc[b] = s
+                else:
+                    del acc[b]
+        got = _twist_cache[chain] = list(acc.items())
+    return got
+
+
 def d_map(phi, window):
     """Derivation-twist Dⁿ on cochains, via the homotopy route.
 
-    (Dⁿφ)(a) = ∂(φ(a)) - Σ φ(chain terms of ∂ₙ(gₙ(a))), where ∂ₙ acts on
-    Λ-coefficients by the derivation of Λ and slot-wise on cells, and terms
-    whose cell is not an Anick chain are dropped.  Degree 0 is ∂ on M.
+    (Dⁿφ)(a) = ∂(φ(a)) - Σ λ_b·φ(b) over the terms (b, λ_b) of
+    ``twist_terms(a)``, for every chain a in the window; the operator is
+    built once per chain and then only applied.  Degree 0 is ∂ on M.
     """
     module = phi.module
     if phi.degree == 0:
         return Cochain(0, module, {(): module.derivation(phi.value(()))})
+    values = phi.values
     out = {}
     for a in enumerate_chains(phi.degree, window.W):
         total = module.derivation(phi.value(a))
-        for cell, coeff in homotopy_g(a).items():
-            dcoeff = lambda_derivation(coeff)
-            if not dcoeff.is_zero() and cell_is_chain(cell):
-                total = total - module.act_algebra(dcoeff, phi.value(cell_to_chain(cell)))
-            for cell2, frac in bar_derivation(cell).items():
-                if cell_is_chain(cell2):
-                    val = phi.value(cell_to_chain(cell2))
-                    total = total - module.act_algebra(coeff, val).scale(frac)
+        for b, lam in twist_terms(a):
+            val = values.get(b)
+            if val is not None:
+                total = total - module.act_algebra(lam, val)
         if not total.is_zero():
             out[a] = total
     return Cochain(phi.degree, module, out)

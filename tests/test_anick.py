@@ -112,6 +112,47 @@ def test_bar_differential_examples():
     }
 
 
+def _bar_differential_by_letters(cell):
+    """The bar differential with each slot merge rewritten letter by letter."""
+    out = {}
+    if cell:
+        _add(out, cell[1:], AlgebraElement({cell[0]: 1}))
+    for i in range(len(cell) - 1):
+        merged = coeffalg.normal_form(cell_letters(cell[i:i + 2]))
+        for w, c in merged.terms.items():
+            _add(out, cell[:i] + (w,) + cell[i + 2:], AlgebraElement.scalar((-1) ** (i + 1) * c))
+    return out
+
+
+def _add(out, key, coeff):
+    s = out[key] + coeff if key in out else coeff
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def test_bar_differential_matches_letter_by_letter_merges():
+    for cell in _sample_cells(3, 5, 4):
+        assert bar_differential(cell) == _bar_differential_by_letters(cell), cell
+
+
+def _int_coefficients(combo):
+    return all(type(c) is int for coeff in combo.values() for c in coeff.terms.values())
+
+
+def test_resolution_maps_have_int_coefficients():
+    for cell in _sample_cells(3, 5, 4):
+        assert _int_coefficients(bar_differential(cell)), cell
+        assert _int_coefficients(homotopy_f(cell)), cell
+        assert all(type(c) is int for c in bar_derivation(cell).values()), cell
+    for degree in range(1, 5):
+        for chain in enumerate_chains(degree, 6):
+            assert _int_coefficients(anick_delta_closed(chain)), chain
+            assert _int_coefficients(anick_delta_morse(chain)), chain
+            assert _int_coefficients(homotopy_g(chain)), chain
+
+
 def test_matched_edge_examples():
     partner, direction, weight = matched_edge(((1, 1),))
     assert partner == ((0, 0), (0, 1)) and direction == "up" and weight == -1
@@ -147,17 +188,21 @@ def test_traversal_cycle_guard(traverse):
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _ascend_memo, _delta_cache, _f_memo
-    from confweyl.cohomology import Window, assemble_matrix
+    from confweyl.anick import _ascend_memo, _delta_cache, _f_memo, _twist_cache
+    from confweyl.cohomology import Cochain, Window, assemble_matrix, d_map
+    from confweyl.modules import make_module
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
     coeffalg.normal_form("v(2)v(3)v(1)")
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _ascend_memo and _delta_cache and coeffalg._letter_word_memo
+    mod = make_module("M(alpha=1,delta=1)")
+    d_map(Cochain(2, mod, {(1, 0): mod.element(1)}), Window(4, 0))
+    assert _f_memo and _ascend_memo and _delta_cache and _twist_cache \
+        and coeffalg._letter_word_memo
     clear_caches()
     assert not _f_memo and not _ascend_memo and not _delta_cache \
-        and not coeffalg._letter_word_memo
+        and not _twist_cache and not coeffalg._letter_word_memo
 
 
 def test_critical_cells_are_exactly_chain_cells():

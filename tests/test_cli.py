@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -84,6 +85,24 @@ def test_cohomology_report(capture):
     assert code == 0
     doc = _validated("cohomology", out)
     assert doc["dim_H"] == 1 and doc["stable"] is True
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("nf", "v(5)v(0)v(3)v(2)"), "nf.json"),
+    (("delta", "[3|2|1|0]", "--method", "closed"), "delta_closed.json"),
+    (("delta", "[3|2|1|0]", "--method", "morse"), "delta_morse.json"),
+    (("homotopy", "g", "[3|1|2|0]"), "homotopy_g.json"),
+    (("homotopy", "f", "[v(2)|v(0)v(3)|v(1)]"), "homotopy_f.json"),
+])
+def test_json_outputs_match_golden_files(capture, argv, golden):
+    # the golden files pin every coefficient string byte for byte, so the
+    # storage type of Λ's coefficients (int or Fraction) never shows
+    code, out, _ = capture(*argv, "--format", "json")
+    assert code == 0
+    assert out == (_GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_outputs_are_byte_identical(capture):

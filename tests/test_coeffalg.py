@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from confweyl import checks
 from confweyl.checks import oracle_normal_form
+from confweyl.anick import cell_letters
 from confweyl.coeffalg import (
     UNIT,
     AlgebraElement,
+    _word_product,
     coeff_image,
     derivation,
     normal_form,
@@ -55,6 +57,33 @@ def test_confluence_of_strategies(word):
     left = oracle_normal_form(word, "leftmost")
     right = oracle_normal_form(word, "rightmost")
     assert left == right == normal_form(word)
+
+
+normal_words = st.tuples(st.integers(0, 4), st.integers(0, 8))
+
+
+@given(normal_words, normal_words)
+@settings(max_examples=150, deadline=None)
+def test_word_product_table_matches_letter_by_letter_rewriting(wa, wb):
+    product = _word_product(wa, wb)
+    assert AlgebraElement(product) == normal_form(cell_letters((wa, wb)))
+    assert all(type(c) is int for c in product.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    w = (1, 2)
+    x = AlgebraElement({w: Fraction(4, 2)})
+    assert x.terms == {w: 2} and type(x.terms[w]) is int
+    y = AlgebraElement({w: 2})
+    assert x == y and hash(x) == hash(y)
+    assert all(type(c) is int for c in normal_form("v(5)v(0)v(3)v(2)").terms.values())
+    # arithmetic keeps the invariant: a Fraction that becomes integral turns back into an int
+    half = AlgebraElement({w: Fraction(1, 2)})
+    assert type(half.terms[w]) is Fraction
+    assert type((half + half).terms[w]) is int
+    assert type(half.scale(4).terms[w]) is int
+    assert type((half * AlgebraElement.scalar(2)).terms[w]) is int
+    assert str(half + half) == "v(0) v(2)" and str(half.scale(4)) == "2 v(0) v(2)"
 
 
 def test_multiply_examples():
