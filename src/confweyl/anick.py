@@ -16,6 +16,11 @@ invertibility is still checked and a failure aborts loudly.  Differentials
 and the homotopy maps f, g are sums of path weights in the reversed-edge
 graph, computed by memoized depth-first traversal (the matching is acyclic;
 the recursion stack raises MatchingError on a cycle).
+
+The derivation twist D is not built here.  ``cohomology.d_map`` applies
+its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
+``bar_derivation`` and the derivation of Λ) survives only as the oracle
+``checks.oracle_twist_terms``.
 """
 
 from __future__ import annotations
@@ -272,7 +277,6 @@ def matched_edge(cell):
 _f_memo = {}
 _ascend_memo = {}
 _delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
-_twist_cache = {}  # chain -> the derivation twist D's terms; filled by cohomology.twist_terms
 
 
 def _combine(acc, coeff, combo):
@@ -407,13 +411,13 @@ def anick_delta_closed(chain):
 
 def clear_caches():
     """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``),
-    the δ terms ``_delta_cache`` that ∇ assembly reads, the derivation-twist
-    terms ``_twist_cache`` that ``cohomology.d_map`` reads, and the
-    letter-by-word rewriting table ``coeffalg._letter_word_memo``."""
+    the δ terms ``_delta_cache`` that ∇ assembly and Δ read, and the
+    letter-by-word rewriting table ``coeffalg._letter_word_memo``.  The
+    derivation twist keeps no table: ``cohomology.d_map`` applies its
+    decrement rule directly."""
     _f_memo.clear()
     _ascend_memo.clear()
     _delta_cache.clear()
-    _twist_cache.clear()
     _letter_word_memo.clear()
 
 

@@ -4,8 +4,10 @@ Each suite returns a dict with at least ``name``, ``passed`` and ``details``.
 The rewriting checks use a deliberately naive reducer (apply one rule at a
 chosen position, repeat to a fixpoint) as an oracle independent of the
 memoized engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
-definition, the reference the tests hold ``anick.is_chain`` to; no engine
-path calls it.
+definition, the reference the tests hold ``anick.is_chain`` to, and
+``oracle_twist_terms`` is the Morse route to the derivation twist D, the
+reference for the decrement rule in ``cohomology.d_map``; no engine path
+calls either.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 import itertools
 import random
 
-from . import anick, coeffalg, cohomology, conformal, modules
+from . import modules
 from .anick import (
     _combine,
     anick_delta_closed,
@@ -22,17 +24,24 @@ from .anick import (
     bar_derivation,
     bar_differential,
     cell_is_chain,
-    chain_to_cell,
+    cell_to_chain,
     enumerate_chains,
     homotopy_f,
     homotopy_g,
     matched_edge,
 )
-from .coeffalg import AlgebraElement, normal_form
-from .cohomology import Cochain, Window, assemble_matrix, d_map, hochschild_delta
+from .coeffalg import AlgebraElement, derivation as lambda_derivation, normal_form
+from .cohomology import (
+    Cochain,
+    Window,
+    assemble_matrix,
+    d_map,
+    hochschild_delta,
+    reduce_cochain,
+)
 from .conformal import ConformalElement, check_associativity, lambda_product, n_product
 from .modules import make_module
-from .poly import Poly, D, L, parse_poly
+from .poly import Poly, D, L
 
 
 # -- naive rewriting oracle ----------------------------------------------------------
@@ -178,6 +187,35 @@ def oracle_is_chain(word, degree):
         if not current:
             return False
     return True
+
+
+# -- derivation-twist oracle ------------------------------------------------------------
+
+def oracle_twist_terms(chain):
+    """The derivation twist D at one chain, by the Morse route.
+
+    Returns {b: λ_b}, λ_b ∈ Λ, with (Dφ)(a) = ∂(φ(a)) - Σ λ_b·φ(b) for
+    every cochain φ: the chain terms of ∂ₙ(gₙ(a)), where ∂ₙ acts on
+    Λ-coefficients by the derivation of Λ and slot-wise on cells
+    (``bar_derivation``), with every cell that is not an Anick chain
+    dropped and the terms of each b combined.  This is the reference that
+    criterion 4 and the tests hold the decrement rule of
+    ``cohomology.d_map`` to; no engine path calls it.
+    """
+    acc = {}
+    for cell, coeff in homotopy_g(chain).items():
+        parts = [(cell, lambda_derivation(coeff))]
+        parts.extend((cell2, coeff.scale(n)) for cell2, n in bar_derivation(cell).items())
+        for cell2, lam in parts:
+            if not lam or not cell_is_chain(cell2):
+                continue
+            b = cell_to_chain(cell2)
+            s = acc[b] + lam if b in acc else lam
+            if s:
+                acc[b] = s
+            else:
+                del acc[b]
+    return acc
 
 
 # -- resolution suites ------------------------------------------------------------------
@@ -432,8 +470,6 @@ def check_nabla_squared(max_degree=4, window_sum=9, module="M(alpha=1,delta=1)",
 def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11,
                               trials=25):
     """s + Dⁿh rebuilds φ on the window; reducing a D-image gives 0."""
-    from .cohomology import d_map_direct, reduce_cochain
-
     rng = random.Random(seed)
     mod = make_module(module)
     window = Window(window_sum, 0)
@@ -452,7 +488,7 @@ def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11
         phi = Cochain(degree, mod, values)
         s, h = reduce_cochain(phi, window)
         rebuilt_vals = {}
-        dh = d_map_direct(h, window)
+        dh = d_map(h, window)
         for chain in chains:
             rebuilt = s.include().value(chain) + dh.value(chain)
             if not rebuilt.is_zero():

@@ -25,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 
-from .conformal import ConformalElement
-
 UNIT = None  # the unit word of Λ
 
 

@@ -12,14 +12,16 @@ the projected dimension has stabilized.  For the same reason ∇ at W-1 is
 exactly the sum ≤ W-1 corner of ∇ at W, so the re-run restricts the
 matrices already assembled instead of assembling again.
 
-The scalar reduction is the canonical one: processing chains in
-(sum, lex) order, peel b = φ[c] - Σ_k i_k·h[c with i_k decremented] and
-split b = s[c] + ∂·h[c].  The resulting s is the unique scalar-valued
-representative of φ modulo the derivation-twist map D, and the reduced
-differential ∇ = reduce ∘ Δ ∘ include is canonical.  ``reduced_delta``
-applies it to one cochain; ``assemble_matrix`` builds every column of ∇ⁿ
-in a single sweep over the degree-(n+1) chains, carrying the ∂-quotients
-of all columns at once.
+The derivation twist D has one engine path, its decrement rule
+(Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``d_map``); the Morse route it comes
+from is the oracle ``checks.oracle_twist_terms``.  The scalar reduction is
+the canonical one: processing chains in (sum, lex) order, peel
+b = φ[c] - Σ_k i_k·h[c with i_k decremented] and split b = s[c] + ∂·h[c].
+The resulting s is the unique scalar-valued representative of φ modulo D,
+and the reduced differential ∇ = reduce ∘ Δ ∘ include is canonical.
+``reduced_delta`` applies it to one cochain; ``assemble_matrix`` builds
+every column of ∇ⁿ in a single sweep over the degree-(n+1) chains,
+carrying the ∂-quotients of all columns at once.
 """
 
 from __future__ import annotations
@@ -27,19 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .anick import (
-    _delta_cache,
-    _twist_cache,
-    anick_delta_closed,
-    bar_derivation,
-    cell_is_chain,
-    cell_to_chain,
-    chain_sort_key,
-    enumerate_chains,
-    homotopy_g,
-)
-from .coeffalg import AlgebraElement, derivation as lambda_derivation
-from .modules import FiniteModule, ModuleElement, make_module, reduce_element
+from .anick import _delta_cache, anick_delta_closed, enumerate_chains
+from .modules import ModuleElement, make_module, reduce_element
 from .ratmat import RationalMatrix, rank_of_vectors
 
 _F0 = Fraction(0)
@@ -163,61 +154,15 @@ def _decrements(chain):
         yield k, i, dec
 
 
-def twist_terms(chain):
-    """The derivation twist D at one chain, by the homotopy route.
-
-    Returns the pairs (b, λ_b), λ_b ∈ Λ, with (Dφ)(a) = ∂(φ(a)) - Σ λ_b·φ(b)
-    for every cochain φ: the chain terms of ∂ₙ(gₙ(a)), where ∂ₙ acts on
-    Λ-coefficients by the derivation of Λ and slot-wise on cells
-    (``bar_derivation``), with every cell that is not an Anick chain
-    dropped and the terms of each b combined.  D is module-independent and
-    its terms at a chain do not depend on the window, so they are built
-    once per chain and kept in ``anick._twist_cache``.
-    """
-    got = _twist_cache.get(chain)
-    if got is None:
-        acc = {}
-        for cell, coeff in homotopy_g(chain).items():
-            parts = [(cell, lambda_derivation(coeff))]
-            parts.extend((cell2, coeff.scale(n)) for cell2, n in bar_derivation(cell).items())
-            for cell2, lam in parts:
-                if not lam or not cell_is_chain(cell2):
-                    continue
-                b = cell_to_chain(cell2)
-                s = acc[b] + lam if b in acc else lam
-                if s:
-                    acc[b] = s
-                else:
-                    del acc[b]
-        got = _twist_cache[chain] = list(acc.items())
-    return got
-
-
 def d_map(phi, window):
-    """Derivation-twist Dⁿ on cochains, via the homotopy route.
+    """Derivation-twist Dⁿ on cochains, by its decrement rule.
 
-    (Dⁿφ)(a) = ∂(φ(a)) - Σ λ_b·φ(b) over the terms (b, λ_b) of
-    ``twist_terms(a)``, for every chain a in the window; the operator is
-    built once per chain and then only applied.  Degree 0 is ∂ on M.
+    (Dⁿφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] for every chain c in the window,
+    where dec_k lowers the k-th index by one and terms that leave the chains
+    drop out.  Degree 0 is ∂ on M.  This is the differential-algebra Morse
+    route collapsed to its terms; ``checks.oracle_twist_terms`` keeps that
+    route as the reference.
     """
-    module = phi.module
-    if phi.degree == 0:
-        return Cochain(0, module, {(): module.derivation(phi.value(()))})
-    values = phi.values
-    out = {}
-    for a in enumerate_chains(phi.degree, window.W):
-        total = module.derivation(phi.value(a))
-        for b, lam in twist_terms(a):
-            val = values.get(b)
-            if val is not None:
-                total = total - module.act_algebra(lam, val)
-        if not total.is_zero():
-            out[a] = total
-    return Cochain(phi.degree, module, out)
-
-
-def d_map_direct(phi, window):
-    """Dⁿ by the evaluation rule: (Dⁿφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c]."""
     module = phi.module
     if phi.degree == 0:
         return Cochain(0, module, {(): module.derivation(phi.value(()))})
@@ -411,28 +356,6 @@ def _require_weight_one(module):
     return params["alpha"]
 
 
-def _vector_to_scalar_cochain(vec, labels, degree, module):
-    values = {}
-    for idx, val in vec.items():
-        chain, coord = labels[idx]
-        row = list(values.get(chain, (_F0,) * module.rank))
-        row[coord] = val
-        values[chain] = tuple(row)
-    return ScalarCochain(degree, module, values)
-
-
-def _apply_matrix(matrix, s):
-    """∇ of a scalar cochain through an assembled matrix."""
-    vec = {}
-    for chain, row in s.values.items():
-        for coord, val in enumerate(row):
-            if val:
-                vec[matrix.col_index[(chain, coord)]] = val
-    out = matrix.matvec(vec)
-    return _vector_to_scalar_cochain(out, matrix.row_labels, matrix.degree + 1,
-                                     matrix.module)
-
-
 def verify_theorem_constructions(module, n, window):
     """Check the explicit cocycle-killing constructions in degree n ≥ 2.
 
@@ -442,6 +365,10 @@ def verify_theorem_constructions(module, n, window):
     chains ending in (1,0) and in 1 — and asserts ∇ⁿ⁻¹φ₁ matches s on the
     inner window.  Returns (ok, failures); each failure names the first
     chain where the construction misses.
+
+    Everything stays in ∇'s coordinates: the module has rank 1, so s is a
+    column vector of ∇ⁿ indexed by degree-n chains, which are the rows of
+    ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
     """
     module = make_module(module)
     alpha = _require_weight_one(module)
@@ -449,63 +376,47 @@ def verify_theorem_constructions(module, n, window):
         raise ValueError("constructions start at degree 2")
     a_n = assemble_matrix(n, module, window)
     a_prev = assemble_matrix(n - 1, module, window)
-    sign_even = Fraction(-1) ** n  # (-1)^n
+    # the rows of ∇ⁿ⁻¹ are the columns of ∇ⁿ
+    rows, cols = a_n.col_index, a_prev.col_index
+    # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
+    chains = enumerate_chains(n - 1, window.W)
+    sign = Fraction(-1) ** (n + 1)
+
+    def read(vec, chain):
+        return vec.get(rows.get((chain, 0)), 0)  # 0 above the window
+
     failures = []
-    for vec in a_n.nullspace():
-        s = _vector_to_scalar_cochain(vec, a_n.col_labels, n, module)
+    for s in a_n.nullspace():
         if alpha != 0:
-            beta = {}
-            for t in enumerate_chains(n - 1, window.W):
-                if any(i < 1 for i in t):
-                    continue
-                val = s.value(t + (0,))[0]
-                if val:
-                    beta[t] = (-sign_even * val / alpha,)  # (-1)^{n+1} s_{(t,0)} / α
-            candidate = ScalarCochain(n - 1, module, beta)
+            # φ₁[t] = (-1)^{n+1} s_{(t,0)} / α
+            phi = {cols[(t, 0)]: sign * read(s, t + (0,)) / alpha for t in chains if t[-1]}
         else:
-            beta1 = {}
-            for t in enumerate_chains(n - 1, window.W):
-                if t[-1] != 0 or any(i < 1 for i in t[:-1]):
-                    continue
-                val = s.value(t[:-1] + (1, 0))[0]
-                if val:
-                    beta1[t] = (-sign_even * val,)  # (-1)^{n+1} s_{(…,1,0)}
-            step1 = ScalarCochain(n - 1, module, beta1)
-            r = _scalar_sub(s, _apply_matrix(a_prev, step1))
-            beta2 = dict(beta1)
-            for t in enumerate_chains(n - 1, window.W):
-                if any(i < 1 for i in t):
-                    continue
-                val = r.value(t + (1,))[0]
-                if val:
-                    prev = beta2.get(t, (_F0,))
-                    beta2[t] = (prev[0] + sign_even * val,)  # + (-1)^n r_{(t,1)}
-            candidate = ScalarCochain(n - 1, module, beta2)
-        image = _apply_matrix(a_prev, candidate)
-        mismatch = _first_mismatch(image, s, window.inner)
+            # φ₁[(…,0)] = (-1)^{n+1} s_{(…,1,0)}, then φ₁[t] = (-1)^n r_{(t,1)}
+            # for t ending in ≥ 1, with r = s - ∇ⁿ⁻¹ of the first step
+            phi = {cols[(t, 0)]: sign * read(s, t[:-1] + (1, 0)) for t in chains if not t[-1]}
+            r = dict(s)
+            for i, val in a_prev.matvec(phi).items():
+                r[i] = r.get(i, 0) - val
+            for t in chains:
+                if t[-1]:
+                    phi[cols[(t, 0)]] = -sign * read(r, t + (1,))
+        mismatch = _first_mismatch(a_prev.matvec(phi), s, a_prev.row_labels, window.inner)
         if mismatch is not None:
             failures.append(mismatch)
     return (not failures), failures
 
 
-def _scalar_sub(a, b):
-    values = dict(a.values)
-    for chain, vec in b.values.items():
-        cur = values.get(chain, (_F0,) * len(vec))
-        new = tuple(x - y for x, y in zip(cur, vec))
-        if any(new):
-            values[chain] = new
-        else:
-            values.pop(chain, None)
-    return ScalarCochain(a.degree, a.module, values)
+def _first_mismatch(got, want, labels, inner):
+    """The first label on the inner window where two vectors differ, or None.
 
-
-def _first_mismatch(got, want, inner):
-    chains = sorted(set(got.values) | set(want.values), key=chain_sort_key)
-    for chain in chains:
+    Labels run in (sum, lex) order, so the first index that differs is the
+    first chain that differs, and the scan stops at the first sum > inner.
+    """
+    for i in sorted(got.keys() | want.keys()):
+        chain, _ = labels[i]
         if sum(chain) > inner:
-            continue
-        if got.value(chain) != want.value(chain):
-            return {"chain": chain, "got": [str(x) for x in got.value(chain)],
-                    "want": [str(x) for x in want.value(chain)]}
+            break
+        g, w = got.get(i, 0), want.get(i, 0)
+        if g != w:
+            return {"chain": chain, "got": [str(g)], "want": [str(w)]}
     return None

@@ -188,21 +188,17 @@ def test_traversal_cycle_guard(traverse):
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _ascend_memo, _delta_cache, _f_memo, _twist_cache
-    from confweyl.cohomology import Cochain, Window, assemble_matrix, d_map
-    from confweyl.modules import make_module
+    from confweyl.anick import _ascend_memo, _delta_cache, _f_memo
+    from confweyl.cohomology import Window, assemble_matrix
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
     coeffalg.normal_form("v(2)v(3)v(1)")
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    mod = make_module("M(alpha=1,delta=1)")
-    d_map(Cochain(2, mod, {(1, 0): mod.element(1)}), Window(4, 0))
-    assert _f_memo and _ascend_memo and _delta_cache and _twist_cache \
-        and coeffalg._letter_word_memo
+    assert _f_memo and _ascend_memo and _delta_cache and coeffalg._letter_word_memo
     clear_caches()
     assert not _f_memo and not _ascend_memo and not _delta_cache \
-        and not _twist_cache and not coeffalg._letter_word_memo
+        and not coeffalg._letter_word_memo
 
 
 def test_critical_cells_are_exactly_chain_cells():

@@ -96,6 +96,12 @@ _GOLDEN = Path(__file__).parent / "golden"
     (("delta", "[3|2|1|0]", "--method", "morse"), "delta_morse.json"),
     (("homotopy", "g", "[3|1|2|0]"), "homotopy_g.json"),
     (("homotopy", "f", "[v(2)|v(0)v(3)|v(1)]"), "homotopy_f.json"),
+    (("cohomology", "--degree", "3", "--module", "M(alpha=0,delta=1)", "--window", "9"),
+     "cohomology_h3.json"),
+    (("check", "--suite", "chain-map", "--max-degree", "2", "--window", "5"),
+     "check_chain_map.json"),
+    (("check", "--suite", "reduction-soundness", "--window", "6"),
+     "check_reduction_soundness.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the

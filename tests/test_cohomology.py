@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from confweyl import ratmat
 from confweyl.anick import enumerate_chains
-from confweyl.checks import check_nabla_squared, check_reduction_soundness
+from confweyl.checks import (
+    check_nabla_squared,
+    check_reduction_soundness,
+    oracle_twist_terms,
+)
 from confweyl.cohomology import (
     Cochain,
     ScalarCochain,
@@ -15,7 +19,6 @@ from confweyl.cohomology import (
     cohomology_dim,
     coordinate_labels,
     d_map,
-    d_map_direct,
     hochschild_delta,
     reduce_cochain,
     reduced_delta,
@@ -31,6 +34,23 @@ from confweyl.verify import (
 )
 
 W8 = Window(8, 0)
+
+
+def _morse_route_d_map(phi, window):
+    """Dⁿ chain by chain from the Morse-route terms: (Dφ)(a) = ∂φ(a) - Σ λ_b·φ(b)."""
+    module = phi.module
+    if phi.degree == 0:
+        return Cochain(0, module, {(): module.derivation(phi.value(()))})
+    out = {}
+    for a in enumerate_chains(phi.degree, window.W):
+        total = module.derivation(phi.value(a))
+        for b, lam in oracle_twist_terms(a).items():
+            val = phi.values.get(b)
+            if val is not None:
+                total = total - module.act_algebra(lam, val)
+        if not total.is_zero():
+            out[a] = total
+    return Cochain(phi.degree, module, out)
 
 
 def test_window_validation():
@@ -79,7 +99,7 @@ def test_d_map_examples():
     assert out.value((0,)) == mod.element(D)
     assert out.value((1,)) == mod.element(D * D + 1)
     assert out.value((2,)) == mod.element(2 * D)
-    assert out == d_map_direct(phi, W8)
+    assert out == _morse_route_d_map(phi, W8)
 
 
 def test_d_map_worked_degree3_value():
@@ -100,7 +120,7 @@ def test_d_map_routes_agree():
         (4, 0): mod.element(3, D + 1),
     }
     phi = Cochain(2, mod, values)
-    assert d_map(phi, W8) == d_map_direct(phi, W8)
+    assert d_map(phi, W8) == _morse_route_d_map(phi, W8)
 
 
 def test_reduce_cochain_examples():
@@ -226,6 +246,34 @@ def test_verify_theorem_constructions():
         verify_theorem_constructions(module_m(0, 1), 1, Window(8, 3))
 
 
+# kernel vectors that are no cocycles, so every construction path must report
+_NON_COCYCLES = [{0: 1}, {3: 2}, {7: Fraction(-1, 3), 12: 5}, {20: 1}]
+
+
+@pytest.mark.parametrize("alpha, n, want", [
+    (0, 2, [{"chain": (1, 0), "got": ["0"], "want": ["1"]},
+            {"chain": (1, 2), "got": ["0"], "want": ["2"]},
+            {"chain": (2, 2), "got": ["0"], "want": ["-1/3"]}]),
+    (0, 3, [{"chain": (1, 1, 1), "got": ["2"], "want": ["0"]},
+            {"chain": (1, 1, 2), "got": ["2/3"], "want": ["0"]}]),
+    (1, 2, [{"chain": (1, 1), "got": ["-1"], "want": ["0"]},
+            {"chain": (1, 2), "got": ["0"], "want": ["2"]},
+            {"chain": (2, 2), "got": ["0"], "want": ["-1/3"]}]),
+    (1, 3, [{"chain": (1, 1, 1), "got": ["-2"], "want": ["0"]},
+            {"chain": (2, 1, 1), "got": ["0"], "want": ["-1/3"]}]),
+    (-2, 2, [{"chain": (1, 1), "got": ["1/2"], "want": ["0"]},
+             {"chain": (1, 2), "got": ["0"], "want": ["2"]},
+             {"chain": (2, 2), "got": ["0"], "want": ["-1/3"]}]),
+    (-2, 3, [{"chain": (1, 1, 1), "got": ["-2"], "want": ["0"]},
+             {"chain": (2, 1, 1), "got": ["0"], "want": ["-1/3"]}]),
+])
+def test_construction_failures_are_reported(monkeypatch, alpha, n, want):
+    # the fourth vector sits above the inner window, so it never fails
+    monkeypatch.setattr(ratmat.RationalMatrix, "nullspace",
+                        lambda self: [dict(v) for v in _NON_COCYCLES])
+    assert verify_theorem_constructions(module_m(alpha, 1), n, Window(8, 3)) == (False, want)
+
+
 def test_nabla_squared_zero_small():
     res = check_nabla_squared(max_degree=3, window_sum=7, module="ext(alpha=0,beta=1,gamma=1)")
     assert res["passed"]
@@ -251,6 +299,24 @@ _modules = st.one_of(
     st.just(module_trivial()),
     st.builds(module_ext, _rationals, _rationals, _rationals),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7), data=st.data())
+def test_d_map_matches_morse_route_oracle(module, degree, W, data):
+    # the decrement rule against D's terms read off ∂ₙ∘gₙ, chain by chain
+    window = Window(W, 0)
+    chains = enumerate_chains(degree, W)
+    # nonzero values on every chain, with ∂-powers up to 3
+    polys = st.dictionaries(st.integers(0, 3), _rationals.filter(bool), min_size=1,
+                            max_size=3).map(
+        lambda terms: sum((Poly.const(c) * D ** k for k, c in terms.items()), Poly.zero()))
+    size = len(chains) * module.rank
+    coords = data.draw(st.lists(polys, min_size=size, max_size=size))
+    phi = Cochain(degree, module, {
+        c: module.element(*coords[k * module.rank:(k + 1) * module.rank])
+        for k, c in enumerate(chains)})
+    assert d_map(phi, window) == _morse_route_d_map(phi, window)
 
 
 @settings(max_examples=40, deadline=None)
