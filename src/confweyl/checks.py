@@ -488,9 +488,10 @@ def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11
         phi = Cochain(degree, mod, values)
         s, h = reduce_cochain(phi, window)
         rebuilt_vals = {}
+        included = s.include()
         dh = d_map(h, window)
         for chain in chains:
-            rebuilt = s.include().value(chain) + dh.value(chain)
+            rebuilt = included.value(chain) + dh.value(chain)
             if not rebuilt.is_zero():
                 rebuilt_vals[chain] = rebuilt
         if Cochain(degree, mod, rebuilt_vals) != phi:

@@ -21,7 +21,11 @@ The resulting s is the unique scalar-valued representative of φ modulo D,
 and the reduced differential ∇ = reduce ∘ Δ ∘ include is canonical.
 ``reduced_delta`` applies it to one cochain; ``assemble_matrix`` builds
 every column of ∇ⁿ in a single sweep over the degree-(n+1) chains,
-carrying the ∂-quotients of all columns at once.
+carrying the ∂-quotients of all columns at once.  The sweep holds every
+module value as ∂-coefficient arrays, one list per coordinate (index =
+power of ∂, ``int`` when integral, else ``Fraction``), so the split is
+c = f[0], g = f[1:] and no ``Poly`` arithmetic runs in it; the ``Poly``
+route of ``reduced_delta`` is the per-column oracle in the tests.
 """
 
 from __future__ import annotations
@@ -162,19 +166,25 @@ def d_map(phi, window):
     drop out.  Degree 0 is ∂ on M.  This is the differential-algebra Morse
     route collapsed to its terms; ``checks.oracle_twist_terms`` keeps that
     route as the reference.
+
+    Only φ's chains b and their increments are visited: c = inc_k b is
+    always a chain, dec_k c = b, and its term has coefficient c_k = b_k + 1.
     """
     module = phi.module
     if phi.degree == 0:
         return Cochain(0, module, {(): module.derivation(phi.value(()))})
     out = {}
-    for c in enumerate_chains(phi.degree, window.W):
-        total = module.derivation(phi.value(c))
-        for _, i, dec in _decrements(c):
-            val = phi.values.get(dec)
-            if val is not None:
-                total = total + val.scale(i)
-        if not total.is_zero():
-            out[c] = total
+    for b, val in phi.values.items():
+        level = sum(b)
+        if level > window.W:
+            continue
+        out[b] = out[b] + module.derivation(val) if b in out else module.derivation(val)
+        if level == window.W:
+            continue
+        for k, i in enumerate(b):
+            c = b[:k] + (i + 1,) + b[k + 1:]
+            add = val.scale(i + 1)
+            out[c] = out[c] + add if c in out else add
     return Cochain(phi.degree, module, out)
 
 
@@ -249,6 +259,32 @@ class ReducedMatrix(RationalMatrix):
                              self.row_labels[:nrows], self.col_labels[:ncols])
 
 
+def _coefficients(f):
+    """A ∂-polynomial as its ∂-coefficient list: index = power of ∂.
+
+    An integral coefficient is stored as an ``int``, any other as a
+    ``Fraction``.  A polynomial carrying λ, μ or v raises ``ValueError``,
+    as ``split_constant`` does.
+    """
+    if not f.uses_only(("d",)):
+        raise ValueError("a module value of the sweep must be a polynomial in ∂ only")
+    out = [0] * (f.degree("d") + 1)
+    for exp, c in f.terms.items():
+        out[exp[0]] = c.numerator if c.denominator == 1 else c
+    return out
+
+
+def _minus_multiple(b, i, h):
+    """b − i·h on coefficient arrays, coordinate by coordinate (b is not changed)."""
+    out = []
+    for f, g in zip(b, h):
+        f = f + [0] * (len(g) - len(f))
+        for k, c in enumerate(g):
+            f[k] -= i * c
+        out.append(f)
+    return out
+
+
 def assemble_matrix(degree, module, window):
     """Matrix of ∇^degree on the delta-function basis of scalar cochains.
 
@@ -261,15 +297,22 @@ def assemble_matrix(degree, module, window):
     each decrement and splits the rest into constants (the ∇ entries at x)
     and a ∂-quotient h[x] carried to the rows of the next sum — exactly
     what ``reduced_delta`` computes one column at a time.
+
+    Every module value of the sweep is a list of ∂-coefficient arrays, one
+    per coordinate (``_coefficients``): the action memo converts
+    ``act_algebra`` once per (δ coefficient, j), subtracting i·h is one
+    coefficient loop, and the split b = c + ∂·g is c = f[0], g = f[1:].
+    The entries leave the sweep as ``Fraction``s.
     """
     module = make_module(module)
+    rank = module.rank
     col_labels = coordinate_labels(degree, module, window)
     row_labels = coordinate_labels(degree + 1, module, window)
     col_index = {lab: i for i, lab in enumerate(col_labels)}
     columns = [{} for _ in col_labels]
     basis = module.basis()
-    zero = module.zero()
-    action = {}  # (δ coefficient, j) -> the coefficient acting on eⱼ
+    zero = [[]] * rank
+    action = {}  # (δ coefficient, j) -> coefficient arrays of the coefficient acting on eⱼ
     # chain -> {column: h}, for the chains at the current sum and the one below;
     # a decrement lowers the sum by exactly one, so older quotients are never read
     carried, carried_prev, level = {}, {}, None
@@ -279,24 +322,24 @@ def assemble_matrix(degree, module, window):
         entries = {}
         for y, coeff in _delta_terms(x):
             key = frozenset(coeff.terms.items())
-            for j in range(module.rank):
+            for j in range(rank):
                 act = action.get((key, j))
                 if act is None:
-                    act = action[(key, j)] = module.act_algebra(coeff, basis[j])
+                    act = action[(key, j)] = [
+                        _coefficients(f) for f in module.act_algebra(coeff, basis[j]).coords]
                 entries[col_index[(y, j)]] = act
         for _, i, dec in _decrements(x):
             for col, h in carried_prev.get(dec, {}).items():
-                entries[col] = entries.get(col, zero) - h.scale(i)
+                entries[col] = _minus_multiple(entries.get(col, zero), i, h)
         quotients = {}
-        base = row * module.rank
+        base = row * rank
         for col, b in entries.items():
-            if b.is_zero():
-                continue
-            consts, quot = reduce_element(b)
-            for coord, val in enumerate(consts):
-                if val:
-                    columns[col][base + coord] = val
-            if not quot.is_zero():
+            for coord, f in enumerate(b):
+                if f and f[0]:
+                    c = f[0]
+                    columns[col][base + coord] = c if type(c) is Fraction else Fraction(c)
+            quot = [f[1:] for f in b]
+            if any(map(any, quot)):
                 quotients[col] = quot
         if quotients:
             carried[x] = quotients

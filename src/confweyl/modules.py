@@ -101,6 +101,11 @@ class FiniteModule:
         self.action = tuple(tuple(row) for row in action)  # entry[i][j]: coeff of e_i in v∘λ e_j
         self.spec = spec
         self.params = dict(params or {})
+        # the action split by λ once: (i, j, l, [λˡ]entry[i][j]), a ∂-polynomial each
+        self._lambda_split = tuple(
+            (i, j, l, part)
+            for i, row in enumerate(self.action) for j, entry in enumerate(row)
+            for l, part in sorted(entry.coeffs_in("l").items()))
 
     def zero(self):
         return ModuleElement.zero(self.rank)
@@ -160,11 +165,31 @@ class FiniteModule:
         return out
 
     def act_vn(self, n, m):
-        """Action of the letter v(n): n! times the λ^n part of v ∘λ m."""
-        part = self.act_v_lambda(m).get(n)
-        if part is None:
-            return self.zero()
-        return part.scale(factorial(n))
+        """Action of the letter v(n) by Taylor's formula.
+
+        v(n)·m is n! times the λⁿ part of v ∘λ m, and v ∘λ (f eⱼ) =
+        Σᵢ aᵢⱼ(∂,λ) f(∂+λ) eᵢ with f(∂+λ) = Σₖ f⁽ᵏ⁾(∂) λᵏ/k!, so
+
+            v(n)·(f eⱼ) = Σᵢ Σₗ n!/(n−l)! · [λˡ]aᵢⱼ(∂) · f⁽ⁿ⁻ˡ⁾(∂) eᵢ.
+
+        The action matrix is split by λ once per module; each term costs one
+        derivative and one product of ∂-polynomials, with no shift and no
+        λ-split of the result.  A coordinate of m that carries λ raises
+        ``ValueError``: the λ-split would mix its λ with the action's.
+        """
+        if any(f.degree("l") > 0 for f in m.coords):
+            raise ValueError("act_vn expects coordinates free of λ")
+        out = [Poly.zero()] * self.rank
+        derivatives = {}  # (j, order) -> f_j⁽ᵒʳᵈᵉʳ⁾
+        for i, j, l, part in self._lambda_split:
+            if l > n or m.coords[j].is_zero():
+                continue
+            df = derivatives.get((j, n - l))
+            if df is None:
+                df = derivatives[(j, n - l)] = m.coords[j].derivative("d", n - l)
+            if not df.is_zero():
+                out[i] = out[i] + part * df * (factorial(n) // factorial(n - l))
+        return ModuleElement(out)
 
     def act_word(self, word, m):
         """Action of a normal word; the rightmost letter acts first."""

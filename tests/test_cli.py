@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import confweyl
 from confweyl.cli import run
 
 
@@ -102,6 +106,9 @@ _GOLDEN = Path(__file__).parent / "golden"
      "check_chain_map.json"),
     (("check", "--suite", "reduction-soundness", "--window", "6"),
      "check_reduction_soundness.json"),
+    (("cohomology", "--degree", "3", "--module", "ext(alpha=2,beta=1/2,gamma=3)",
+      "--window", "8"),
+     "cohomology_ext_h3.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the
@@ -122,6 +129,20 @@ def test_outputs_are_byte_identical(capture):
     assert runs[0] == runs[1]
     runs = [capture("delta", "[3|2|1]")[1] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_python_dash_m_runs_the_command():
+    # `python -m confweyl verify` from a source checkout, without installing
+    src = str(Path(confweyl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "confweyl", "verify", "--only", "5",
+                           "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["passed"] is True
+    assert [c["id"] for c in doc["criteria"]] == [5]
 
 
 def test_out_file(tmp_path, capture):

@@ -15,6 +15,7 @@ from confweyl.cohomology import (
     Cochain,
     ScalarCochain,
     Window,
+    _coefficients,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
@@ -320,6 +321,30 @@ def test_d_map_matches_morse_route_oracle(module, degree, W, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(1, 4), W=st.integers(3, 7), data=st.data())
+def test_d_map_on_sparse_support_matches_morse_route_oracle(module, degree, W, data):
+    # d_map visits φ's chains and their increments only; values on a few
+    # chains, some of them one sum above the window, which D must ignore
+    chains = enumerate_chains(degree, W + 1)
+    support = data.draw(st.lists(st.sampled_from(chains), min_size=1, max_size=4,
+                                 unique=True))
+    phi = Cochain(degree, module, {
+        c: module.element(*[Poly.const(data.draw(_rationals.filter(bool))) * D ** k
+                            for k in range(module.rank)])
+        for c in support})
+    window = Window(W, 0)
+    assert d_map(phi, window) == _morse_route_d_map(phi, window)
+
+
+def test_sweep_coefficients_reject_other_variables():
+    assert _coefficients(parse_poly("3*d^2 + 1/2")) == [Fraction(1, 2), 0, 3]
+    assert [type(c) for c in _coefficients(parse_poly("3*d^2 + 1/2"))] == [Fraction, int, int]
+    for text in ("d + l", "m", "v*d"):
+        with pytest.raises(ValueError):
+            _coefficients(parse_poly(text))
+
+
+@settings(max_examples=40, deadline=None)
 @given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7))
 def test_assemble_matrix_matches_column_oracle(module, degree, W):
     window = Window(W, 0)
@@ -328,6 +353,9 @@ def test_assemble_matrix_matches_column_oracle(module, degree, W):
     assert got == want
     # same entry order within each column, so elimination sees identical rows
     assert [list(col) for col in got] == [list(col) for col in want]
+    # and the same value type: the sweep's int coefficients leave it as Fractions
+    assert [[type(v) for v in col.values()] for col in got] == \
+        [[type(v) for v in col.values()] for col in want]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,39 @@ def test_act_vn_examples():
     assert m.act_vn(2, u).is_zero()
     d2u = u.poly_mul(D * D)
     assert m.act_vn(2, d2u) == m.element(6 * D + 10)
+
+
+def _lambda_split_act_vn(mod, n, m):
+    """v(n)·m as n! times the λⁿ part of v ∘λ m, from the shifted product."""
+    part = mod.act_v_lambda(m).get(n)
+    return mod.zero() if part is None else part.scale(factorial(n))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_modules = st.one_of(
+    st.builds(module_m, _rationals, st.sampled_from([0, 1])),
+    st.just(module_trivial()),
+    st.builds(module_ext, _rationals, _rationals, _rationals),
+)
+_d_polys_to_5 = st.dictionaries(st.integers(0, 5).map(lambda e: (e, 0, 0, 0)), _rationals,
+                                max_size=6).map(Poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mod=_modules, n=st.integers(0, 7), data=st.data())
+def test_act_vn_matches_lambda_split_oracle(mod, n, data):
+    # Taylor's formula against n!·[λⁿ] of v ∘λ m, on ∂-polynomials up to degree 5
+    m = ModuleElement(tuple(data.draw(_d_polys_to_5) for _ in range(mod.rank)))
+    assert mod.act_vn(n, m) == _lambda_split_act_vn(mod, n, m)
+
+
+def test_act_vn_rejects_lambda_in_a_coordinate():
+    m = module_m(Fraction(1, 2), 1)
+    with pytest.raises(ValueError):
+        m.act_vn(1, m.element(D + L))
+    ext = module_ext(0, 1, 1)
+    with pytest.raises(ValueError):
+        ext.act_vn(0, ext.element(D, L * L))
 
 
 def test_module_derivation_examples():
