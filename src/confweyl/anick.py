@@ -12,10 +12,18 @@ through it.  Anick's generic prechain tiling survives only as the oracle
 The Morse matching pairs a cell whose maximal chain prefix covers slots
 1..p+1 with the cell obtained by splitting slot p+2 as w'·w'' whenever the
 prefix extended by w' is a (p+1)-chain.  All matched weights are ±1 here;
-invertibility is still checked and a failure aborts loudly.  Differentials
-and the homotopy maps f, g are sums of path weights in the reversed-edge
-graph, computed by memoized depth-first traversal (the matching is acyclic;
-the recursion stack raises MatchingError on a cycle).
+invertibility is still checked and a failure aborts loudly.  A matched
+edge's weight is read straight from the slot products of the split cell
+(``_merge_weight``), at the merge positions that can produce the merged
+cell and the head term, without building the whole bar differential.
+Differentials and the homotopy maps f, g are sums of path weights in the
+reversed-edge graph, computed by memoized depth-first traversal (the
+matching is acyclic; the recursion stack raises MatchingError on a cycle).
+
+The structure constants are integers, so the bar differential and the
+closed-form δ sum each target's terms as ``int``s in a {target: {word: int}}
+dict and build each target's ``AlgebraElement`` once; a target whose terms
+cancel is dropped, in the key order element-by-element sums would give.
 
 The derivation twist D is not built here.  ``cohomology.d_map`` applies
 its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
@@ -31,6 +39,8 @@ from math import comb
 from .coeffalg import (
     UNIT,
     AlgebraElement,
+    _element,
+    _letter_word,
     _letter_word_memo,
     _word_product,
     normal_form,
@@ -57,7 +67,7 @@ def is_chain(word, degree):
     """
     if isinstance(word, str):
         word = parse_word(word)
-    return (len(word) == degree + 1 and all(i >= 1 for i in word[:-1])
+    return (len(word) == degree + 1 and (degree < 1 or min(word[:-1]) >= 1)
             and (not word or word[-1] >= 0))
 
 
@@ -131,33 +141,49 @@ def bar_differential(cell):
 
     d[a₁|…|aₙ] = a₁[a₂|…|aₙ] + Σᵢ (-1)^i [a₁|…|N(aᵢaᵢ₊₁)|…|aₙ], where the
     merged slot expands linearly over the normal basis; the product of two
-    normal words is read from the table ``_word_product``.  Degree-1 cells
-    map to a₁ times the empty cell (the Λ-part of B₀).  Returns a dict
-    BarCell -> AlgebraElement, with integer coefficients.
+    normal words is read from the letter-by-word table, shifted by the left
+    word's v(0)s as it is read.  Degree-1 cells map to a₁ times the empty
+    cell (the Λ-part of B₀).  Returns a dict BarCell -> AlgebraElement, with
+    integer coefficients.
+
+    Each target's terms are summed as ``int``s in a {word: int} dict and
+    wrapped once; the head term a₁ can land on a merge target, so that one
+    entry mixes the word a₁ with a scalar.
     """
     n = len(cell)
     if n == 0:
         return {}
-    out = {}
-
-    def add(target, coeff):
-        prev = out.get(target)
-        s = prev + coeff if prev is not None else coeff
-        if s.is_zero():
-            out.pop(target, None)
-        else:
-            out[target] = s
-
-    head = AlgebraElement({cell[0]: 1})
-    add(cell[1:], head)
+    acc = {cell[1:]: {cell[0]: 1}}
     for i in range(n - 1):
         sign = -1 if i % 2 == 0 else 1  # (-1)^{i+1} for 1-based position i+1
-        for w, c in _word_product(cell[i], cell[i + 1]).items():
-            if w is UNIT:
-                raise MatchingError("slot merge produced a unit term")
-            target = cell[:i] + (w,) + cell[i + 2:]
-            add(target, AlgebraElement.scalar(sign * c))
-    return out
+        before, after = cell[:i], cell[i + 2:]
+        ka, na = cell[i]
+        kb, nb = cell[i + 1]
+        for w, c in _letter_word(na, kb, nb).items():
+            if ka:
+                w = (w[0] + ka, w[1])
+            _accumulate(acc, before + (w,) + after, UNIT, sign * c)
+    return {target: _element(terms) for target, terms in acc.items()}
+
+
+def _accumulate(acc, target, word, c):
+    """acc[target][word] += c on {target: {word: int}}, dropping what cancels.
+
+    A cancelled target is deleted, so one met again later is appended, in
+    the same key order as summing ``AlgebraElement``s would give.
+    """
+    terms = acc.get(target)
+    if terms is None:
+        if c:
+            acc[target] = {word: c}
+        return
+    s = terms.get(word, 0) + c
+    if s:
+        terms[word] = s
+    elif len(terms) == 1:
+        del acc[target]
+    else:
+        del terms[word]
 
 
 def bar_derivation(cell):
@@ -207,13 +233,33 @@ def _split_word(word, cut):
 
 
 def _merge_weight(split_cell, merged_cell):
-    """Bar-differential coefficient of the merged cell in d(split cell)."""
-    coeff = bar_differential(split_cell).get(merged_cell)
-    if coeff is None:
-        raise MatchingError("matched edge missing from the bar differential")
-    scalar = coeff.scalar_part()
-    if scalar is None or scalar == 0:
+    """Bar-differential coefficient of the merged cell in d(split cell).
+
+    Read straight from the slot products: only the merge positions whose
+    target can equal the merged cell are visited, plus the head term, and
+    no whole differential is built.
+    """
+    m = len(merged_cell)
+    scalar = 0
+    if len(split_cell) == m + 1:
+        for i in range(m):
+            # the merge at i keeps slots before i and after i+1 in place
+            if split_cell[:i] != merged_cell[:i]:
+                break
+            if split_cell[i + 2:] != merged_cell[i + 1:]:
+                continue
+            (ka, na), (kb, nb) = split_cell[i], split_cell[i + 1]
+            k, n = merged_cell[i]
+            c = _letter_word(na, kb, nb).get((k - ka, n), 0) if k >= ka else 0
+            scalar += c if i % 2 else -c
+        head = split_cell[1:] == merged_cell
+    else:
+        head = False
+    if head:
+        coeff = AlgebraElement({split_cell[0]: 1, UNIT: scalar})
         raise MatchingError(f"matched edge weight {coeff} is not invertible in Λ")
+    if not scalar:
+        raise MatchingError("matched edge missing from the bar differential")
     return scalar
 
 
@@ -379,34 +425,29 @@ def anick_delta_closed(chain):
         + Σⱼ (-1)^j v(0) [i₁|…|iⱼ+iⱼ₊₁|…|iₙ]
         + Σⱼ Σ_{k<j} (-1)^j i_k [i₁|…|i_k-1|…|iⱼ+iⱼ₊₁|…|iₙ],
     with every target that is not an Anick chain dropped (an interior index
-    reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.
+    reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.  Terms
+    are summed as ``int``s per target and word, and wrapped once.
     """
     n = len(chain)
     if n == 0:
         return {}
-    result = {}
+    acc = {}
 
-    def add(target, coeff):
-        if not is_chain(target, len(target) - 1):
-            return
-        prev = result.get(target)
-        s = prev + coeff if prev is not None else coeff
-        if s.is_zero():
-            result.pop(target, None)
-        else:
-            result[target] = s
+    def add(target, word, c):
+        if is_chain(target, len(target) - 1):
+            _accumulate(acc, target, word, c)
 
-    add(chain[1:], AlgebraElement.letter(chain[0]))
+    add(chain[1:], (0, chain[0]), 1)
     for j in range(1, n):  # merge of 1-based positions j, j+1
         sign = -1 if j % 2 else 1
         merged = chain[:j - 1] + (chain[j - 1] + chain[j],) + chain[j + 1:]
         dec_merged = chain[:j - 1] + (chain[j - 1] + chain[j] - 1,) + chain[j + 1:]
-        add(dec_merged, AlgebraElement.scalar(sign * chain[j - 1]))
-        add(merged, AlgebraElement({(0, 0): sign}))  # v(0)-weighted merge
+        add(dec_merged, UNIT, sign * chain[j - 1])
+        add(merged, (0, 0), sign)  # v(0)-weighted merge
         for k in range(1, j):
             dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
-            add(dec_k, AlgebraElement.scalar(sign * chain[k - 1]))
-    return result
+            add(dec_k, UNIT, sign * chain[k - 1])
+    return {target: _element(terms) for target, terms in acc.items()}
 
 
 def clear_caches():

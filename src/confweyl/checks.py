@@ -8,6 +8,14 @@ definition, the reference the tests hold ``anick.is_chain`` to, and
 ``oracle_twist_terms`` is the Morse route to the derivation twist D, the
 reference for the decrement rule in ``cohomology.d_map``; no engine path
 calls either.
+
+``check_fdg`` computes f∘d once per cell within a grade.  Every cell of
+g(c) has c's slot count and c's grade (Σ indices − number of letters),
+because the rewriting rule v(n)v(m) → v(0)v(n+m) + n·v(n+m-1), slot splits
+and slot merges all keep the grade; so chains of one (degree, sum) share
+cells and no others do.  f∘d∘g(c) = Σ coeff·(f∘d)(cell) over g(c) =
+Σ coeff·cell is the same composite as Σ (coeff·c₂)·f(y) over d(cell) =
+Σ c₂·y, by associativity and distributivity in Λ.
 """
 
 from __future__ import annotations
@@ -249,21 +257,60 @@ def check_morse_closed(max_degree=4, max_sum=8):
                         "failures": failures[:5]}}
 
 
-def _fdg(chain):
-    out = {}
-    for cell, coeff in homotopy_g(chain).items():
+def _fd(cell, memo):
+    """(f∘d)(cell) = Σ_y c₂·f(y) over d(cell) = Σ_y c₂·y, read through ``memo``.
+
+    The memo maps each cell met to its value, a compact {chain: coefficient}
+    dict, or the shared empty tuple for 0, and each coefficient to one
+    shared copy of it: the values of one grade hold few distinct
+    coefficients (24 among 2310 at degree 5, sum 10).
+    """
+    got = memo.get(cell)
+    if got is None:
+        acc = {}
         for y, c2 in bar_differential(cell).items():
             projected = homotopy_f(y)
             if projected:  # split ends project to 0; skip their product
-                _combine(out, coeff * c2, projected)
+                _combine(acc, c2, projected)
+        got = memo[cell] = ({key: memo.setdefault(val, val) for key, val in acc.items()}
+                            if acc else ())
+    return got
+
+
+def _fdg(chain, memo=None):
+    """f∘d∘g on one chain, as Σ coeff·(f∘d)(cell) over g(chain) = Σ coeff·cell.
+
+    ``memo`` holds (f∘d)(cell) for cells already met; a fresh one is used
+    when none is given.
+    """
+    if memo is None:
+        memo = {}
+    out = {}
+    for cell, coeff in homotopy_g(chain).items():
+        fd = _fd(cell, memo)
+        if fd:
+            _combine(out, coeff, fd)
     return out
 
 
 def check_fdg(max_degree=4, max_sum=8):
+    """δ = f∘d∘g on every chain, with f∘d computed once per cell of a grade.
+
+    Every cell of g(c) has c's slot count and c's grade (Σ indices − number
+    of letters): the rewriting rule, slot splits and slot merges all keep
+    it.  So cells are shared only among chains of one (degree, sum), and
+    the memo of (f∘d)(cell) is dropped whenever the sum changes in
+    ``enumerate_chains``' (sum, lex) order.  Σ coeff·(f∘d)(cell) is the
+    same composite as Σ (coeff·c₂)·f(y), by associativity and
+    distributivity in Λ.
+    """
     failures = []
     for degree in range(1, max_degree + 1):
+        memo, grade_sum = {}, None
         for chain in enumerate_chains(degree, max_sum):
-            if _fdg(chain) != anick_delta_closed(chain):
+            if sum(chain) != grade_sum:
+                memo, grade_sum = {}, sum(chain)
+            if _fdg(chain, memo) != anick_delta_closed(chain):
                 failures.append(chain)
     return {"name": "fdg", "passed": not failures,
             "details": {"max_degree": max_degree, "max_sum": max_sum,

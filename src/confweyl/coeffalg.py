@@ -40,14 +40,18 @@ _letter_word_memo = {}
 
 
 def _letter_word(a, k, n):
-    """Normal form of v(a)·v(0)^k v(n) as a dict {(k', n'): int coeff}."""
-    if a == 0:
-        return {(k + 1, n): 1}
+    """Normal form of v(a)·v(0)^k v(n) as a dict {(k', n'): int coeff}.
+
+    Entries are shared through ``_letter_word_memo``: callers read them and
+    never mutate one.
+    """
     key = (a, k, n)
     cached = _letter_word_memo.get(key)
     if cached is not None:
         return cached
-    if k == 0:
+    if a == 0:
+        out = {(k + 1, n): 1}
+    elif k == 0:
         # single rewriting step; n ≥ 0 and a ≥ 1 keep a+n-1 ≥ 0
         out = {(1, a + n): 1, (0, a + n - 1): a}
     else:
@@ -121,40 +125,46 @@ class AlgebraElement:
                 terms[w] = s
             else:
                 del terms[w]
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = terms
-        return out
+        return _element(terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return _element({w: -c for w, c in self.terms.items()})
 
     def scale(self, q):
         q = q if type(q) is int else _exact(Fraction(q))
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = {w: _exact(c * q) for w, c in self.terms.items()} if q else {}
-        return out
+        return _element({w: _exact(c * q) for w, c in self.terms.items()} if q else {})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if type(other) is not AlgebraElement:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
+        # a pure scalar on either side is a scaling
+        if len(other.terms) == 1 and UNIT in other.terms:
+            return self.scale(other.terms[UNIT])
+        if len(self.terms) == 1 and UNIT in self.terms:
+            return other.scale(self.terms[UNIT])
         terms = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 c = ca * cb
-                for w, cw in _word_product(wa, wb).items():
+                if wa is UNIT or wb is UNIT:
+                    ka, products = 0, _word_product(wa, wb)
+                else:
+                    # v(0)^ka v(na)·wb: the unshifted table entry, shifted as it is read
+                    ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
+                for w, cw in products.items():
+                    if ka:
+                        w = (w[0] + ka, w[1])
                     s = _exact(terms.get(w, 0) + c * cw)
                     if s:
                         terms[w] = s
                     else:
                         del terms[w]
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = terms
-        return out
+        return _element(terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -193,9 +203,22 @@ class AlgebraElement:
         return f"AlgebraElement({render_algebra_element(self)!r})"
 
 
+def _element(terms):
+    """An ``AlgebraElement`` on a terms dict that is already in stored form
+    (nonzero coefficients, ints when integral); the dict is not copied."""
+    out = AlgebraElement.__new__(AlgebraElement)
+    out.terms = terms
+    return out
+
+
 def _word_product(wa, wb):
     """Product of two normal words as a dict over normal words, with int
-    coefficients; read from the letter-by-word table."""
+    coefficients; read from the letter-by-word table.
+
+    The result may be a shared table entry, so it is never mutated.  The hot
+    callers (``AlgebraElement.__mul__``, ``anick.bar_differential``) read
+    ``_letter_word`` directly and apply the v(0)^ka shift as they iterate.
+    """
     if wa is UNIT:
         return {wb: 1}
     if wb is UNIT:

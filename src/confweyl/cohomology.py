@@ -130,8 +130,21 @@ def _delta_terms(chain):
     return got
 
 
+def _act(module, coeff, val):
+    """coeff·val through the module's own action memo."""
+    key = (coeff, val)
+    got = module.action_memo.get(key)
+    if got is None:
+        got = module.action_memo[key] = module.act_algebra(coeff, val)
+    return got
+
+
 def hochschild_delta(phi, window):
-    """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W."""
+    """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
+
+    The action of each δ coefficient on each value is memoised per module
+    (``FiniteModule.action_memo``), keyed by (coefficient, value).
+    """
     module = phi.module
     out = {}
     for x in enumerate_chains(phi.degree + 1, window.W):
@@ -139,7 +152,7 @@ def hochschild_delta(phi, window):
         for y, coeff in _delta_terms(x):
             val = phi.values.get(y)
             if val is not None:
-                acc = acc + module.act_algebra(coeff, val)
+                acc = acc + _act(module, coeff, val)
         if not acc.is_zero():
             out[x] = acc
     return Cochain(phi.degree + 1, module, out)

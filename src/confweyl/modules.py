@@ -106,6 +106,9 @@ class FiniteModule:
             (i, j, l, part)
             for i, row in enumerate(self.action) for j, entry in enumerate(row)
             for l, part in sorted(entry.coeffs_in("l").items()))
+        # (x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``); owned by the
+        # module, so it is freed with it
+        self.action_memo = {}
 
     def zero(self):
         return ModuleElement.zero(self.rank)

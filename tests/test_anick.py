@@ -8,6 +8,8 @@ from confweyl import coeffalg
 from confweyl.anick import (
     MatchingError,
     _ascend,
+    _combine,
+    _f_memo,
     anick_delta_closed,
     anick_delta_morse,
     bar_derivation,
@@ -31,6 +33,7 @@ from confweyl.checks import (
     _fdg,
     _sample_cells,
     check_chain_kill,
+    check_fdg,
     check_matching,
     oracle_is_chain,
 )
@@ -176,6 +179,26 @@ def test_merge_weight_invertibility_guard():
         _merge_weight(((0, 1), (0, 2)), ((0, 9),))
 
 
+def test_merge_weight_matches_the_bar_differential():
+    from confweyl.anick import _merge_weight
+
+    edges = 0
+    for cell in _sample_cells(3, 5, 4):
+        edge = matched_edge(cell)
+        if edge is None:
+            continue
+        partner, direction, weight = edge
+        split, merged = (partner, cell) if direction == "up" else (cell, partner)
+        expected = bar_differential(split)[merged].scalar_part()
+        assert _merge_weight(split, merged) == weight == expected, cell
+        assert type(weight) is int, cell
+        edges += 1
+    assert edges
+    # the head term a₁[a₂|…] is never a scalar, so an edge onto it is refused
+    with pytest.raises(MatchingError, match="not invertible"):
+        _merge_weight(((0, 3), (0, 0), (0, 1)), ((0, 0), (0, 1)))
+
+
 @pytest.mark.parametrize("traverse", [homotopy_f, _ascend])
 def test_traversal_cycle_guard(traverse):
     # a merged end met again on its own recursion stack is a cycle; the
@@ -249,6 +272,46 @@ def test_delta_squared_zero(chain):
     assert _delta_of_combination(anick_delta_closed(chain)) == {}
 
 
+def _delta_closed_by_elements(chain):
+    """δₙ with each term added as an AlgebraElement, target by target: the
+    reference for the int accumulation in ``anick_delta_closed``."""
+    n = len(chain)
+    if n == 0:
+        return {}
+    result = {}
+
+    def add(target, coeff):
+        if not is_chain(target, len(target) - 1):
+            return
+        prev = result.get(target)
+        s = prev + coeff if prev is not None else coeff
+        if s.is_zero():
+            result.pop(target, None)
+        else:
+            result[target] = s
+
+    add(chain[1:], AlgebraElement.letter(chain[0]))
+    for j in range(1, n):
+        sign = -1 if j % 2 else 1
+        merged = chain[:j - 1] + (chain[j - 1] + chain[j],) + chain[j + 1:]
+        dec_merged = chain[:j - 1] + (chain[j - 1] + chain[j] - 1,) + chain[j + 1:]
+        add(dec_merged, AlgebraElement.scalar(sign * chain[j - 1]))
+        add(merged, AlgebraElement({(0, 0): sign}))
+        for k in range(1, j):
+            dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
+            add(dec_k, AlgebraElement.scalar(sign * chain[k - 1]))
+    return result
+
+
+def test_delta_closed_matches_element_accumulation():
+    for degree in range(1, 7):
+        for chain in enumerate_chains(degree, 10):
+            got = anick_delta_closed(chain)
+            want = _delta_closed_by_elements(chain)
+            assert list(got.items()) == list(want.items()), chain
+            assert _int_coefficients(got), chain
+
+
 def test_delta_squared_worked_instance():
     # δ₂(δ₃[1|1|0]) = 0 after v(1)v(1) and v(1)v(0) are normal-formed
     assert _delta_of_combination(anick_delta_closed((1, 1, 0))) == {}
@@ -281,6 +344,49 @@ def test_homotopy_f_examples():
 @settings(max_examples=30, deadline=None)
 def test_fdg_equals_delta(chain):
     assert _fdg(chain) == anick_delta_closed(chain)
+
+
+def _fdg_unshared(chain):
+    """f∘d∘g as Σ (coeff·c₂)·f(y), with no (f∘d)(cell) shared between chains."""
+    out = {}
+    for cell, coeff in homotopy_g(chain).items():
+        for y, c2 in bar_differential(cell).items():
+            projected = homotopy_f(y)
+            if projected:
+                _combine(out, coeff * c2, projected)
+    return out
+
+
+def test_fdg_memo_matches_the_unshared_composite():
+    # one memo per (degree, sum), reset as in check_fdg
+    for degree in range(1, 5):
+        memo, grade_sum = {}, None
+        for chain in enumerate_chains(degree, 8):
+            if sum(chain) != grade_sum:
+                memo, grade_sum = {}, sum(chain)
+            assert _fdg(chain, memo) == _fdg_unshared(chain), chain
+        # cells map to dicts or the empty tuple, coefficients to their one shared copy
+        assert memo and all((type(v) is dict or v == ()) if type(k) is tuple else v is k
+                            for k, v in memo.items())
+
+
+def test_check_fdg_reads_f_through_its_memo():
+    # a wrong f value for a split end met in d(g([2|1|0])) must fail the suite
+    clear_caches()
+    met = {}
+    for cell, coeff in homotopy_g((2, 1, 0)).items():
+        _combine(met, coeff, bar_differential(cell))
+    split_ends = [y for y in met if matched_edge(y) is not None]
+    assert split_ends
+    try:
+        clear_caches()
+        _f_memo[split_ends[0]] = {(7, 7): AlgebraElement.one()}
+        report = check_fdg(max_degree=3, max_sum=4)
+    finally:
+        clear_caches()
+    assert not report["passed"]
+    assert (2, 1, 0) in report["details"]["failures"]
+    assert check_fdg(max_degree=3, max_sum=4)["passed"]
 
 
 def test_g_is_a_chain_map():

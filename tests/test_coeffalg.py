@@ -11,6 +11,8 @@ from confweyl.anick import cell_letters
 from confweyl.coeffalg import (
     UNIT,
     AlgebraElement,
+    _letter_word,
+    _letter_word_memo,
     _word_product,
     coeff_image,
     derivation,
@@ -100,6 +102,54 @@ def test_multiply_examples():
 @settings(max_examples=40, deadline=None)
 def test_multiply_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+def _product_by_table(a, b):
+    """a·b summed pair by pair over the word-product table."""
+    out = AlgebraElement.zero()
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            out = out + AlgebraElement(_word_product(wa, wb)).scale(ca * cb)
+    return out
+
+
+elements_with_unit = st.dictionaries(
+    st.one_of(st.just(UNIT), st.tuples(st.integers(0, 2), st.integers(0, 5))),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    min_size=1, max_size=3,
+).map(AlgebraElement)
+
+
+@given(elements_with_unit, elements_with_unit)
+@settings(max_examples=80, deadline=None)
+def test_multiply_matches_the_word_product_table(a, b):
+    # __mul__ shifts the unshifted table entry itself, and scales when
+    # either side is a pure scalar
+    product = a * b
+    assert list(product.terms.items()) == list(_product_by_table(a, b).terms.items())
+    for c in product.terms.values():
+        assert type(c) is int or c.denominator != 1
+
+
+def test_scalar_multiplication_and_foreign_operands():
+    x = normal_form("v(2)v(3)")
+    assert x * 3 == 3 * x == x.scale(3)
+    assert x * Fraction(1, 2) == x.scale(Fraction(1, 2))
+    assert x * AlgebraElement.scalar(-2) == AlgebraElement.scalar(-2) * x == x.scale(-2)
+    with pytest.raises(TypeError):
+        x * "v(1)"
+
+
+def test_letter_word_table_is_shared_and_memoised():
+    # the a = 0 entry is memoised like the others; callers never mutate one
+    entry = _letter_word(0, 2, 3)
+    assert entry == {(3, 3): 1}
+    assert _letter_word(0, 2, 3) is entry and _letter_word_memo[(0, 2, 3)] is entry
+    before = {key: dict(val) for key, val in _letter_word_memo.items()}
+    normal_form("v(0)v(3)v(0)v(2)v(1)")
+    AlgebraElement.word(2, 1) * normal_form("v(3)v(0)v(2)")
+    _word_product((3, 2), (1, 0))
+    assert all(_letter_word_memo[key] == val for key, val in before.items())
 
 
 def test_derivation_examples():

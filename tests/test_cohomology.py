@@ -15,6 +15,7 @@ from confweyl.cohomology import (
     Cochain,
     ScalarCochain,
     Window,
+    _act,
     _coefficients,
     assemble_matrix,
     cohomology_dim,
@@ -25,7 +26,8 @@ from confweyl.cohomology import (
     reduced_delta,
     verify_theorem_constructions,
 )
-from confweyl.modules import make_module, module_ext, module_m, module_trivial
+from confweyl.coeffalg import UNIT, AlgebraElement
+from confweyl.modules import ModuleElement, make_module, module_ext, module_m, module_trivial
 from confweyl.poly import D, Poly, parse_poly
 from confweyl.ratmat import rank_of_vectors
 from confweyl.verify import (
@@ -334,6 +336,31 @@ def test_d_map_on_sparse_support_matches_morse_route_oracle(module, degree, W, d
         for c in support})
     window = Window(W, 0)
     assert d_map(phi, window) == _morse_route_d_map(phi, window)
+
+
+_lambda_elements = st.dictionaries(
+    st.one_of(st.just(UNIT), st.tuples(st.integers(0, 2), st.integers(0, 5))),
+    _rationals.filter(bool), min_size=1, max_size=3).map(AlgebraElement)
+_d_polys = st.dictionaries(st.integers(0, 3).map(lambda e: (e, 0, 0, 0)), _rationals,
+                           max_size=4).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module=_modules, x=_lambda_elements, data=st.data())
+def test_action_memo_matches_a_fresh_action(module, x, data):
+    m = ModuleElement(tuple(data.draw(_d_polys) for _ in range(module.rank)))
+    want = module.act_algebra(x, m)
+    assert _act(module, x, m) == want
+    assert module.action_memo[(x, m)] == want
+    assert _act(module, x, m) == want  # read back from the memo
+    # a second instance of the same module starts with its own empty memo
+    twin = make_module(module.spec)
+    assert twin is not module and not twin.action_memo
+    module.action_memo[(x, m)] = want + module.element(*([1] * module.rank))
+    assert _act(module, x, m) != want
+    assert _act(twin, x, m) == want
+    assert len(twin.action_memo) == 1
+    del module.action_memo[(x, m)]
 
 
 def test_sweep_coefficients_reject_other_variables():

@@ -39,3 +39,74 @@ def test_no_unused_imports_in_the_package():
         found += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                   if name not in read]
     assert not found, found
+
+
+_TABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+_TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+# every module-level dict, list or set in the package, as module.name
+MODULE_TABLES = {
+    "anick._f_memo",
+    "anick._ascend_memo",
+    "anick._delta_cache",
+    "coeffalg._letter_word_memo",
+    "checks.SUITES",
+    "poly._VAR_INDEX",
+    "poly._P_ZERO.terms",
+    "poly._P_ONE.terms",
+}
+
+
+def _is_table(node):
+    if isinstance(node, _TABLE_NODES):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _TABLE_CALLS)
+
+
+def _module_statements(node):
+    """Statements run at import: everything outside function and class bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(child, ast.stmt):
+            yield child
+        yield from _module_statements(child)
+
+
+def _module_tables(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in _module_statements(tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_table(value):
+            for target in targets:
+                yield f"{path.stem}.{ast.unparse(target)}"
+
+
+def test_module_level_tables_are_pinned():
+    # a new memo must live on an object that owns it, not become a
+    # process-wide global; the few tables that are global are listed here
+    found = {name for path in sorted(SRC.rglob("*.py")) for name in _module_tables(path)}
+    assert found == MODULE_TABLES
+
+
+def test_clear_caches_empties_every_global_memo():
+    import importlib
+
+    from confweyl.anick import clear_caches
+
+    memos = [name for name in sorted(MODULE_TABLES) if name.endswith(("_memo", "_cache"))]
+    assert memos
+    for name in memos:
+        module, attr = name.split(".")
+        table = getattr(importlib.import_module(f"confweyl.{module}"), attr)
+        table[("sentinel", name)] = None
+    clear_caches()
+    for name in memos:
+        module, attr = name.split(".")
+        assert not getattr(importlib.import_module(f"confweyl.{module}"), attr), name
