@@ -17,8 +17,12 @@ edge's weight is read straight from the slot products of the split cell
 (``_merge_weight``), at the merge positions that can produce the merged
 cell and the head term, without building the whole bar differential.
 Differentials and the homotopy maps f, g are sums of path weights in the
-reversed-edge graph, computed by memoized depth-first traversal (the
-matching is acyclic; the recursion stack raises MatchingError on a cycle).
+reversed-edge graph.  One memoized depth-first traversal, ``_zigzag``,
+walks it: per cell it reads one matched edge and, at a merged end, one bar
+differential of the partner, and it returns both f(cell) and the ascent
+into split cells that g's corrections sum, kept as one pair in ``_f_memo``
+(the matching is acyclic; the recursion stack raises MatchingError on a
+cycle).
 
 The structure constants are integers, so the bar differential and the
 closed-form δ sum each target's terms as ``int``s in a {target: {word: int}}
@@ -320,8 +324,8 @@ def matched_edge(cell):
 
 # -- path-weight maps ---------------------------------------------------------------
 
+#: cell -> (f(cell), ascent(cell)), filled by ``_zigzag``
 _f_memo = {}
-_ascend_memo = {}
 _delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
 
 
@@ -337,12 +341,17 @@ def _combine(acc, coeff, combo):
             acc[key] = s
 
 
-def homotopy_f(cell, _stack=None):
-    """Projection B → A: path weights from a bar cell to critical cells.
+def _zigzag(cell, _stack=None):
+    """Both path sums out of a bar cell in the reversed-edge graph, as the
+    pair (f(cell), ascent(cell)).
 
-    Critical cells map to their chain; split ends of matched edges map to 0;
-    a merged end lifts through its partner and recurses along the remaining
-    bar-differential edges.  Returns a dict chain -> AlgebraElement.
+    f is the projection B → A, a dict chain -> AlgebraElement: a critical
+    cell maps to its chain, a split end to 0, and a merged end lifts
+    through its partner and follows the remaining bar-differential edges.
+    The ascent, a dict BarCell -> AlgebraElement, sums the paths that climb
+    from a merged end into split cells (g's corrections); it is 0 on
+    critical cells and split ends.  Both halves of a merged end read one
+    matched edge and one bar differential of its partner.
     """
     cached = _f_memo.get(cell)
     if cached is not None:
@@ -353,47 +362,34 @@ def homotopy_f(cell, _stack=None):
         raise MatchingError(f"cycle in Morse graph traversal at {cell}")
     edge = matched_edge(cell)
     if edge is None:
-        result = {cell_to_chain(cell): AlgebraElement.one()}
+        result = ({cell_to_chain(cell): AlgebraElement.one()}, {})
     elif edge[1] == "down":
-        result = {}
+        result = ({}, {})
     else:
         partner, _, weight = edge
         inv = _negated_inverse(weight)
         _stack.add(cell)
-        result = {}
+        f, ascent = {}, {partner: AlgebraElement.scalar(inv)}
         for target, coeff in bar_differential(partner).items():
             if target == cell:
                 continue
-            _combine(result, coeff.scale(inv), homotopy_f(target, _stack))
+            f_target, ascent_target = _zigzag(target, _stack)
+            if f_target or ascent_target:
+                scaled = coeff.scale(inv)
+                _combine(f, scaled, f_target)
+                _combine(ascent, scaled, ascent_target)
         _stack.discard(cell)
+        result = (f, ascent)
     _f_memo[cell] = result
     return result
 
 
-def _ascend(cell, _stack=None):
-    """Paths climbing from a merged end into split cells (used by g)."""
-    cached = _ascend_memo.get(cell)
-    if cached is not None:
-        return cached
-    edge = matched_edge(cell)
-    if edge is None or edge[1] == "down":
-        result = {}
-    else:
-        if _stack is None:
-            _stack = set()
-        if cell in _stack:
-            raise MatchingError(f"cycle in Morse graph traversal at {cell}")
-        partner, _, weight = edge
-        inv = _negated_inverse(weight)
-        _stack.add(cell)
-        result = {partner: AlgebraElement.scalar(inv)}
-        for target, coeff in bar_differential(partner).items():
-            if target == cell:
-                continue
-            _combine(result, coeff.scale(inv), _ascend(target, _stack))
-        _stack.discard(cell)
-    _ascend_memo[cell] = result
-    return result
+def homotopy_f(cell):
+    """Projection B → A: path weights from a bar cell to critical cells.
+
+    Returns a dict chain -> AlgebraElement, the first half of ``_zigzag``.
+    """
+    return _zigzag(cell)[0]
 
 
 def homotopy_g(chain):
@@ -404,7 +400,7 @@ def homotopy_g(chain):
     cell = chain_to_cell(chain)
     result = {cell: AlgebraElement.one()}
     for target, coeff in bar_differential(cell).items():
-        _combine(result, coeff, _ascend(target))
+        _combine(result, coeff, _zigzag(target)[1])
     return result
 
 
@@ -451,13 +447,13 @@ def anick_delta_closed(chain):
 
 
 def clear_caches():
-    """Drop the memoized Morse traversals (``_f_memo``, ``_ascend_memo``),
-    the δ terms ``_delta_cache`` that ∇ assembly and Δ read, and the
-    letter-by-word rewriting table ``coeffalg._letter_word_memo``.  The
+    """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
+    the ascent of every cell ``_zigzag`` met), the δ terms ``_delta_cache``
+    that ∇ assembly and Δ read, and the letter-by-word rewriting table
+    ``coeffalg._letter_word_memo``.  The
     derivation twist keeps no table: ``cohomology.d_map`` applies its
     decrement rule directly."""
     _f_memo.clear()
-    _ascend_memo.clear()
     _delta_cache.clear()
     _letter_word_memo.clear()
 

@@ -347,7 +347,8 @@ def check_matching(max_slots=3, max_letters=4, max_index=4):
     """Partner-of-partner involution and single-partner property."""
     failures = []
     partner_of = {}
-    for cell in _sample_cells(max_slots, max_letters, max_index):
+    cells = _sample_cells(max_slots, max_letters, max_index)
+    for cell in cells:
         edge = matched_edge(cell)
         if edge is None:
             continue
@@ -361,8 +362,7 @@ def check_matching(max_slots=3, max_letters=4, max_index=4):
             failures.append(cell)
         partner_of[partner] = cell
     return {"name": "matching", "passed": not failures,
-            "details": {"cells": len(_sample_cells(max_slots, max_letters, max_index)),
-                        "failures": failures[:5]}}
+            "details": {"cells": len(cells), "failures": failures[:5]}}
 
 
 def check_chain_kill(max_degree=3, max_sum=6):

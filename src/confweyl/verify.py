@@ -91,55 +91,45 @@ def _acc(out, chain, coeff):
         out[chain] = s
 
 
+def _reference_matrix(alpha, degree, window, row_terms):
+    """∇^degree of M(α,1) as columns, summing ``row_terms(row)``, the
+    (column chain, value) terms of each row chain.
+
+    s = 0 on non-chain tuples, so a term whose chain has an interior index
+    below 1 or a last index below 0 is skipped, as is a zero value; an
+    entry whose terms cancel is dropped.
+    """
+    mod = module_m(alpha, 1)
+    col_index = {lab: j for j, lab in enumerate(coordinate_labels(degree, mod, window))}
+    columns = [{} for _ in col_index]
+    for i, (row, _) in enumerate(coordinate_labels(degree + 1, mod, window)):
+        for chain, val in row_terms(row):
+            if val == 0 or chain[-1] < 0 or (len(chain) > 1 and min(chain[:-1]) < 1):
+                continue
+            column = columns[col_index[(chain, 0)]]
+            s = column.get(i, _F0) + val
+            if s:
+                column[i] = s
+            else:
+                del column[i]
+    return columns
+
+
 def nabla1_reference_matrix(alpha, window):
     """Rows [n|m]: -α at column n+m, +m at column n+m-1."""
-    mod = module_m(alpha, 1)
-    cols = coordinate_labels(1, mod, window)
-    rows = coordinate_labels(2, mod, window)
-    col_index = {lab: j for j, lab in enumerate(cols)}
-    columns = [{} for _ in cols]
-
-    def put(row_i, chain, val):
-        if chain[0] < 0 or val == 0:
-            return
-        j = col_index[(chain, 0)]
-        s = columns[j].get(row_i, _F0) + val
-        if s:
-            columns[j][row_i] = s
-        else:
-            del columns[j][row_i]
-
-    for i, ((n, m), _) in enumerate(rows):
-        put(i, (n + m,), -alpha)
-        put(i, (n + m - 1,), Fraction(m))
-    return [dict(c) for c in columns]
+    def row_terms(row):
+        n, m = row
+        return (((n + m,), -alpha), ((n + m - 1,), Fraction(m)))
+    return _reference_matrix(alpha, 1, window, row_terms)
 
 
 def nabla2_reference_matrix(alpha, window):
     """Rows [n|m|p]: -α@(n+m,p) +α@(n,m+p) +m@(n+m-1,p) +p@(n+m,p-1) -p@(n,m+p-1)."""
-    mod = module_m(alpha, 1)
-    cols = coordinate_labels(2, mod, window)
-    rows = coordinate_labels(3, mod, window)
-    col_index = {lab: j for j, lab in enumerate(cols)}
-    columns = [{} for _ in cols]
-
-    def put(row_i, chain, val):
-        if chain[0] < 1 or chain[-1] < 0 or val == 0:
-            return
-        j = col_index[(chain, 0)]
-        s = columns[j].get(row_i, _F0) + val
-        if s:
-            columns[j][row_i] = s
-        else:
-            del columns[j][row_i]
-
-    for i, ((n, m, p), _) in enumerate(rows):
-        put(i, (n + m, p), -alpha)
-        put(i, (n, m + p), alpha)
-        put(i, (n + m - 1, p), Fraction(m))
-        put(i, (n + m, p - 1), Fraction(p))
-        put(i, (n, m + p - 1), Fraction(-p))
-    return [dict(c) for c in columns]
+    def row_terms(row):
+        n, m, p = row
+        return (((n + m, p), -alpha), ((n, m + p), alpha), ((n + m - 1, p), Fraction(m)),
+                ((n + m, p - 1), Fraction(p)), ((n, m + p - 1), Fraction(-p)))
+    return _reference_matrix(alpha, 2, window, row_terms)
 
 
 def nabla_general_reference_matrix(alpha, degree, window):
@@ -150,35 +140,17 @@ def nabla_general_reference_matrix(alpha, degree, window):
     s = 0 on non-chain tuples; the n = 1, 2 instances of this formula are
     exactly the two reference matrices above.
     """
-    mod = module_m(alpha, 1)
-    cols = coordinate_labels(degree, mod, window)
-    rows = coordinate_labels(degree + 1, mod, window)
-    col_index = {lab: j for j, lab in enumerate(cols)}
-    columns = [{} for _ in cols]
-
-    def put(row_i, chain, val):
-        if len(chain) >= 2 and any(i < 1 for i in chain[:-1]):
-            return
-        if chain[-1] < 0 or val == 0:
-            return
-        jj = col_index[(chain, 0)]
-        s = columns[jj].get(row_i, _F0) + val
-        if s:
-            columns[jj][row_i] = s
-        else:
-            del columns[jj][row_i]
-
-    for i, (x, _) in enumerate(rows):
+    def row_terms(x):
         nlen = len(x)
         for j in range(1, nlen):  # 1-based merge position
-            sign = Fraction(-1) ** j
+            sign = (-1) ** j
             merge = x[:j - 1] + (x[j - 1] + x[j],) + x[j + 1:]
-            put(i, merge, sign * alpha)
-            put(i, merge[:j - 1] + (merge[j - 1] - 1,) + merge[j:], -sign * x[j])
+            yield merge, sign * alpha
+            yield merge[:j - 1] + (merge[j - 1] - 1,) + merge[j:], -sign * x[j]
             for t in range(j + 2, nlen + 1):  # decrement original position t
                 dec = merge[:t - 2] + (merge[t - 2] - 1,) + merge[t - 1:]
-                put(i, dec, -sign * x[t - 1])
-    return [dict(c) for c in columns]
+                yield dec, -sign * x[t - 1]
+    return _reference_matrix(alpha, degree, window, row_terms)
 
 
 # -- criteria ---------------------------------------------------------------------------

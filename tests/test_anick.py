@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from confweyl import coeffalg
 from confweyl.anick import (
     MatchingError,
-    _ascend,
     _combine,
     _f_memo,
+    _zigzag,
     anick_delta_closed,
     anick_delta_morse,
     bar_derivation,
@@ -35,6 +35,7 @@ from confweyl.checks import (
     check_chain_kill,
     check_fdg,
     check_matching,
+    check_morse_closed,
     oracle_is_chain,
 )
 from confweyl.coeffalg import AlgebraElement
@@ -199,29 +200,79 @@ def test_merge_weight_matches_the_bar_differential():
         _merge_weight(((0, 3), (0, 0), (0, 1)), ((0, 0), (0, 1)))
 
 
-@pytest.mark.parametrize("traverse", [homotopy_f, _ascend])
-def test_traversal_cycle_guard(traverse):
+def test_traversal_cycle_guard():
     # a merged end met again on its own recursion stack is a cycle; the
     # guard must hold under python -O too, so it raises instead of asserting
     cell = ((1, 5),)
     assert matched_edge(cell)[1] == "up"
     clear_caches()
     with pytest.raises(MatchingError, match="cycle"):
-        traverse(cell, {cell})
+        _zigzag(cell, {cell})
+
+
+def test_traversal_reads_each_matched_edge_once(monkeypatch):
+    # f and g's ascent share one walk: from cold caches the fdg and
+    # morse-closed suites ask for the matched edge of each cell once
+    from collections import Counter
+
+    from confweyl import anick
+
+    calls = Counter()
+    edge_of = anick.matched_edge
+
+    def counted(cell):
+        calls[cell] += 1
+        return edge_of(cell)
+
+    clear_caches()
+    monkeypatch.setattr(anick, "matched_edge", counted)
+    try:
+        assert check_fdg(max_degree=4, max_sum=8)["passed"]
+        assert check_morse_closed(max_degree=4, max_sum=8)["passed"]
+    finally:
+        clear_caches()
+    assert calls and set(calls.values()) == {1}
+
+
+def _morse_maps(chains, f_first):
+    """f on the cells of each d(chain cell), g and δ by Morse paths, with
+    their items in order, from cold caches; f or g fills the memo first."""
+    def f():
+        return [list(homotopy_f(y).items())
+                for chain in chains for y in bar_differential(chain_to_cell(chain))]
+
+    def g():
+        return [list(homotopy_g(chain).items()) for chain in chains]
+
+    clear_caches()
+    if f_first:
+        f_values = f()
+        g_values = g()
+    else:
+        g_values = g()
+        f_values = f()
+    return f_values, g_values, [list(anick_delta_morse(chain).items()) for chain in chains]
+
+
+def test_morse_maps_do_not_depend_on_the_order_they_fill_the_memo():
+    chains = [chain for degree in range(1, 4) for chain in enumerate_chains(degree, 6)]
+    try:
+        assert _morse_maps(chains, f_first=True) == _morse_maps(chains, f_first=False)
+    finally:
+        clear_caches()
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _ascend_memo, _delta_cache, _f_memo
+    from confweyl.anick import _delta_cache, _f_memo
     from confweyl.cohomology import Window, assemble_matrix
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
     coeffalg.normal_form("v(2)v(3)v(1)")
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _ascend_memo and _delta_cache and coeffalg._letter_word_memo
+    assert _f_memo and _delta_cache and coeffalg._letter_word_memo
     clear_caches()
-    assert not _f_memo and not _ascend_memo and not _delta_cache \
-        and not coeffalg._letter_word_memo
+    assert not _f_memo and not _delta_cache and not coeffalg._letter_word_memo
 
 
 def test_critical_cells_are_exactly_chain_cells():
@@ -380,7 +431,7 @@ def test_check_fdg_reads_f_through_its_memo():
     assert split_ends
     try:
         clear_caches()
-        _f_memo[split_ends[0]] = {(7, 7): AlgebraElement.one()}
+        _f_memo[split_ends[0]] = ({(7, 7): AlgebraElement.one()}, {})
         report = check_fdg(max_degree=3, max_sum=4)
     finally:
         clear_caches()

@@ -47,7 +47,6 @@ _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.Set
 # every module-level dict, list or set in the package, as module.name
 MODULE_TABLES = {
     "anick._f_memo",
-    "anick._ascend_memo",
     "anick._delta_cache",
     "coeffalg._letter_word_memo",
     "checks.SUITES",
