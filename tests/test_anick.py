@@ -200,9 +200,43 @@ def test_merge_weight_matches_the_bar_differential():
         _merge_weight(((0, 3), (0, 0), (0, 1)), ((0, 0), (0, 1)))
 
 
-def test_traversal_cycle_guard():
-    # a merged end met again on its own recursion stack is a cycle; the
-    # guard must hold under python -O too, so it raises instead of asserting
+def _ascend(cell):
+    # g's ascent out of a cell: the second half of the shared walk
+    return _zigzag(cell)[1]
+
+
+@pytest.mark.parametrize("traverse", [homotopy_f, _ascend])
+def test_traversal_cycle_guard(traverse, monkeypatch):
+    # two merged ends whose partners' differentials reach each other form a
+    # cycle; both halves of the walk must refuse it, and under python -O
+    # too, so the guard raises instead of asserting
+    from confweyl import anick
+
+    first, second = ((1, 5),), ((2, 1),)
+    partners = {}
+    for cell in (first, second):
+        partner, kind, _ = matched_edge(cell)
+        assert kind == "up"
+        partners[partner] = second if cell == first else first
+    assert len(partners) == 2
+    differential = anick.bar_differential
+
+    def cyclic(cell):
+        if cell in partners:
+            return {partners[cell]: coeffalg.AlgebraElement.one()}
+        return differential(cell)
+
+    clear_caches()
+    monkeypatch.setattr(anick, "bar_differential", cyclic)
+    try:
+        with pytest.raises(MatchingError, match="cycle"):
+            traverse(first)
+    finally:
+        clear_caches()
+
+
+def test_zigzag_cycle_guard_on_seeded_stack():
+    # a merged end met again on its own recursion stack is a cycle
     cell = ((1, 5),)
     assert matched_edge(cell)[1] == "up"
     clear_caches()
