@@ -4,18 +4,24 @@ Bar cells are tuples of normal words [w₁|…|wₙ] (basis of Λ ⊗ (Λ/k)^⊗
 the empty cell () is the basis of degree 0.  Anick chains of degree n are
 index tuples (i₁,…,iₙ); the obstruction set consists of the length-two
 words v(a)v(b) with a ≥ 1, so the n-letter chains are exactly the tuples
-with i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0.  ``is_chain`` is that closed form, and every
-chain test here (critical cells, the matching, the targets of δ) goes
-through it.  Anick's generic prechain tiling survives only as the oracle
-``checks.oracle_is_chain``, against which the tests compare it.
+with i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0.  ``is_chain`` is that closed form on raw
+words, and the targets of δ go through it.  Anick's generic prechain tiling
+survives only as the oracle ``checks.oracle_is_chain``, against which the
+tests compare it.
 
 The Morse matching pairs a cell whose maximal chain prefix covers slots
 1..p+1 with the cell obtained by splitting slot p+2 as w'·w'' whenever the
-prefix extended by w' is a (p+1)-chain.  All matched weights are ±1 here;
-invertibility is still checked and a failure aborts loudly.  A matched
-edge's weight is read straight from the slot products of the split cell
-(``_merge_weight``), at the merge positions that can produce the merged
-cell and the head term, without building the whole bar differential.
+prefix extended by w' is a (p+1)-chain.  It is read straight off the (k, n)
+slots, with no letters rebuilt: the prefix runs over single-letter slots
+(k = 0) and ends just after the first v(0); a (p+1)-chain has p+2 letters,
+so w' is one letter, the v(0) that a slot with k ≥ 1 starts with; and two
+slots concatenate to a normal word only when the left one ends in v(0).
+The slot words are the A₁ monomials y^(k+1)tⁿ of ``coeffalg``, so a slot
+product is ``coeffalg._letter_word``'s closed form.  All matched weights
+are ±1 here; invertibility is still checked and a failure aborts loudly.  A
+matched edge's weight is read straight from the slot products of the split
+cell (``_merge_weight``), at the merge positions that can produce the
+merged cell and the head term, without building the whole bar differential.
 Differentials and the homotopy maps f, g are sums of path weights in the
 reversed-edge graph.  One memoized depth-first traversal, ``_zigzag``,
 walks it: per cell it reads one matched edge and, at a merged end, one bar
@@ -45,8 +51,6 @@ from .coeffalg import (
     AlgebraElement,
     _element,
     _letter_word,
-    _letter_word_memo,
-    _word_product,
     normal_form,
     parse_word,
     render_word,
@@ -128,8 +132,9 @@ def cell_letters(cell):
 
 def cell_is_chain(cell):
     """Whether a bar cell is a critical (chain) cell: single-letter slots
-    whose concatenation is an Anick (len-1)-chain."""
-    return is_chain(cell_letters(cell), len(cell) - 1)
+    whose concatenation is an Anick (len-1)-chain, that is, a cell whose
+    chain prefix covers every slot."""
+    return prefix_chain_degree(cell) == len(cell) - 1
 
 
 def cell_to_chain(cell):
@@ -145,7 +150,7 @@ def bar_differential(cell):
 
     d[a₁|…|aₙ] = a₁[a₂|…|aₙ] + Σᵢ (-1)^i [a₁|…|N(aᵢaᵢ₊₁)|…|aₙ], where the
     merged slot expands linearly over the normal basis; the product of two
-    normal words is read from the letter-by-word table, shifted by the left
+    normal words is ``_letter_word``'s closed form, shifted by the left
     word's v(0)s as it is read.  Degree-1 cells map to a₁ times the empty
     cell (the Λ-part of B₀).  Returns a dict BarCell -> AlgebraElement, with
     integer coefficients.
@@ -213,27 +218,17 @@ def bar_derivation(cell):
 def prefix_chain_degree(cell):
     """Largest p ≥ -1 with slots 1..p+1 concatenating to an Anick p-chain.
 
-    Once a prefix fails (a multi-letter slot or an interior 0), every
-    longer prefix fails too, so the scan stops there.
+    Such a prefix is p+1 single-letter slots, all but the last ≥ 1; so the
+    scan stops at the first slot with k ≥ 1, or just after the first v(0).
     """
     best = -1
-    letters = ()
-    for q, slot in enumerate(cell):
-        letters = letters + cell_letters((slot,))
-        if not is_chain(letters, q):
+    for k, n in cell:
+        if k:
             break
-        best = q
+        best += 1
+        if not n:
+            break
     return best
-
-
-def _split_word(word, cut):
-    """Split the normal word v(0)^k v(n) after ``cut`` letters."""
-    k, n = word
-    if cut < 1 or cut > k:
-        raise ValueError("cut must leave both parts nonempty")
-    left = (cut - 1, 0)  # v(0)^cut
-    right = (k - cut, n)
-    return left, right
 
 
 def _merge_weight(split_cell, merged_cell):
@@ -286,33 +281,24 @@ def matched_edge(cell):
     p = prefix_chain_degree(cell)
 
     # merged end: split slot p+2 as w'·w'' with prefix+w' a (p+1)-chain; the
-    # prefix has p+1 letters and a (p+1)-chain p+2, so w' is one letter
-    if p + 2 <= m:
-        slot = cell[p + 1]
-        letters = cell_letters(cell[:p + 2])
-        if len(letters) > p + 2 and is_chain(letters[:p + 2], p + 1):
-            left, right = _split_word(slot, 1)
-            partner = cell[:p + 1] + (left, right) + cell[p + 2:]
-            weight = _merge_weight(partner, cell)
-            return partner, "up", weight
+    # prefix has p+1 letters and a (p+1)-chain p+2, so w' is the v(0) that a
+    # slot with k ≥ 1 starts with, and the prefix's last letter must be ≥ 1
+    if p + 2 <= m and cell[p + 1][0] and (p < 0 or cell[p][1]):
+        k, n = cell[p + 1]
+        partner = cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:]
+        return partner, "up", _merge_weight(partner, cell)
 
-    # split end: merge slots q+2, q+3 where the merged cell has prefix degree q
+    # split end: merge slots q+2, q+3 where the merged cell has prefix degree
+    # q and slots 1..q+2 are a (q+1)-chain (q < p); the slots concatenate to a
+    # normal word only when slot q+2 ends in v(0)
     hits = []
-    for q in range(-1, m - 2):
-        letters = cell_letters(cell[q + 1:q + 3])
-        merged_word = None
-        for w in _word_product(cell[q + 1], cell[q + 2]):
-            if w is not UNIT and cell_letters((w,)) == letters:
-                merged_word = w
-                break
-        if merged_word is None:
+    for q in range(-1, min(m - 2, p)):
+        (ka, na), (kb, nb) = cell[q + 1], cell[q + 2]
+        if na:
             continue  # junction rewrites: merged cell is not a basis vertex
-        merged = cell[:q + 1] + (merged_word,) + cell[q + 3:]
-        if prefix_chain_degree(merged) != q:
-            continue
-        if not is_chain(cell_letters(cell[:q + 2]), q + 1):
-            continue
-        hits.append((q, merged))
+        merged = cell[:q + 1] + ((ka + kb + 1, nb),) + cell[q + 3:]
+        if prefix_chain_degree(merged) == q:
+            hits.append((q, merged))
     if len(hits) > 1:
         raise MatchingError(f"cell {cell} matched by {len(hits)} merge positions")
     if hits:
@@ -448,14 +434,13 @@ def anick_delta_closed(chain):
 
 def clear_caches():
     """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
-    the ascent of every cell ``_zigzag`` met), the δ terms ``_delta_cache``
-    that ∇ assembly and Δ read, and the letter-by-word rewriting table
-    ``coeffalg._letter_word_memo``.  The
-    derivation twist keeps no table: ``cohomology.d_map`` applies its
-    decrement rule directly."""
+    the ascent of every cell ``_zigzag`` met) and the δ terms
+    ``_delta_cache`` that ∇ assembly and Δ read.  Products in Λ keep no
+    table (``coeffalg._letter_word`` is a closed form), and the derivation
+    twist keeps none either: ``cohomology.d_map`` applies its decrement
+    rule directly."""
     _f_memo.clear()
     _delta_cache.clear()
-    _letter_word_memo.clear()
 
 
 # -- rendering ------------------------------------------------------------------------

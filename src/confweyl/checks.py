@@ -3,7 +3,7 @@
 Each suite returns a dict with at least ``name``, ``passed`` and ``details``.
 The rewriting checks use a deliberately naive reducer (apply one rule at a
 chosen position, repeat to a fixpoint) as an oracle independent of the
-memoized engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
+closed-form engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
 definition, the reference the tests hold ``anick.is_chain`` to, and
 ``oracle_twist_terms`` is the Morse route to the derivation twist D, the
 reference for the decrement rule in ``cohomology.d_map``; no engine path

@@ -1,7 +1,6 @@
 """The augmented coefficient algebra Λ = A₊(U(2)) ⊕ k·1.
 
-A₊ is generated by letters v(n), n ≥ 0, subject to the confluent rewriting
-system
+A₊ is generated by letters v(n), n ≥ 0, subject to the rewriting system
 
     v(n)·v(m) → v(0)·v(n+m) + n·v(n+m-1),   n ≥ 1, m ≥ 0,
 
@@ -11,13 +10,22 @@ derivation is the Leibniz extension of ∂(v(n)) = -n·v(n-1), and the
 coefficient map sends a conformal element c to its mode c(n) expressed in
 the normal basis.
 
-The structure constants are integers: the rewriting rule, the product table
-``_word_product`` and the derivation all have coefficients in ℤ, and the
-scalar field stays Q.  An ``AlgebraElement`` stores every integral
-coefficient as an ``int`` and any other as a ``Fraction`` (never
-``Fraction(n, 1)``), so products and sums of integral elements never build
-a Fraction.  ``1 == Fraction(1)`` and both hash alike, so equality, hashing
-and rendering do not see the storage type.
+Λ sits in the first Weyl algebra A₁ = k⟨y, t⟩/(ty − yt − 1): the map
+v(0)^k v(n) ↦ y^(k+1) tⁿ turns the rule into tⁿy = ytⁿ + n·tⁿ⁻¹, which is
+normal ordering in A₁, and gives Λ ≅ k·1 ⊕ y·A₁.  The monomials yᵃtᵇ are a
+basis of A₁ (the PBW basis), the normal words go one-to-one onto those with
+a ≥ 1, and every rule holds as an identity in A₁; so every reduction order
+ends at the image of the word's A₁ product, and the system is confluent
+(Bergman's diamond lemma: each overlap v(a)v(b)v(c) resolves).  Products
+therefore have a closed form, ``_letter_word``, and no table is kept.
+
+The structure constants are integers: the rewriting rule, the closed-form
+products and the derivation all have coefficients in ℤ, and the scalar
+field stays Q.  An ``AlgebraElement`` stores every integral coefficient as
+an ``int`` and any other as a ``Fraction`` (never ``Fraction(n, 1)``), so
+products and sums of integral elements never build a Fraction.
+``1 == Fraction(1)`` and both hash alike, so equality, hashing and
+rendering do not see the storage type.
 """
 
 from __future__ import annotations
@@ -35,34 +43,21 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# letter-by-word products v(a)·v(0)^k v(n), keyed by (a, k, n)
-_letter_word_memo = {}
-
-
 def _letter_word(a, k, n):
-    """Normal form of v(a)·v(0)^k v(n) as a dict {(k', n'): int coeff}.
+    """Normal form of v(a)·v(0)^k v(n) as a new dict {(k', n'): int coeff}.
 
-    Entries are shared through ``_letter_word_memo``: callers read them and
-    never mutate one.
+    In A₁ this is (y tᵃ)(y^(k+1) tⁿ) = Σⱼ j!·C(a,j)·C(k+1,j)·y^(k+2−j) t^(a+n−j),
+    j = 0..min(a, k+1), that is Σⱼ j!·C(a,j)·C(k+1,j)·v(0)^(k+1−j) v(a+n−j).
+    Each coefficient is the last times (a−j)(k+1−j)/(j+1), an exact integer
+    division, and the words come in increasing j.
     """
-    key = (a, k, n)
-    cached = _letter_word_memo.get(key)
-    if cached is not None:
-        return cached
-    if a == 0:
-        out = {(k + 1, n): 1}
-    elif k == 0:
-        # single rewriting step; n ≥ 0 and a ≥ 1 keep a+n-1 ≥ 0
-        out = {(1, a + n): 1, (0, a + n - 1): a}
-    else:
-        # v(a)v(0) = v(0)v(a) + a·v(a-1), then recurse past the v(0)
-        out = {}
-        for w, c in _letter_word(a, k - 1, n).items():
-            out[(w[0] + 1, w[1])] = out.get((w[0] + 1, w[1]), 0) + c
-        for w, c in _letter_word(a - 1, k - 1, n).items():
-            out[w] = out.get(w, 0) + a * c
-        out = {w: c for w, c in out.items() if c}
-    _letter_word_memo[key] = out
+    k += 1
+    n += a
+    out = {}
+    c = 1
+    for j in range(min(a, k) + 1):
+        out[(k - j, n - j)] = c
+        c = c * (a - j) * (k - j) // (j + 1)
     return out
 
 
@@ -151,10 +146,12 @@ class AlgebraElement:
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 c = ca * cb
-                if wa is UNIT or wb is UNIT:
-                    ka, products = 0, _word_product(wa, wb)
+                if wa is UNIT:
+                    ka, products = 0, {wb: 1}
+                elif wb is UNIT:
+                    ka, products = 0, {wa: 1}
                 else:
-                    # v(0)^ka v(na)·wb: the unshifted table entry, shifted as it is read
+                    # v(0)^ka v(na)·wb: v(na)·wb, shifted by v(0)^ka as it is read
                     ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
                 for w, cw in products.items():
                     if ka:
@@ -208,27 +205,6 @@ def _element(terms):
     (nonzero coefficients, ints when integral); the dict is not copied."""
     out = AlgebraElement.__new__(AlgebraElement)
     out.terms = terms
-    return out
-
-
-def _word_product(wa, wb):
-    """Product of two normal words as a dict over normal words, with int
-    coefficients; read from the letter-by-word table.
-
-    The result may be a shared table entry, so it is never mutated.  The hot
-    callers (``AlgebraElement.__mul__``, ``anick.bar_differential``) read
-    ``_letter_word`` directly and apply the v(0)^ka shift as they iterate.
-    """
-    if wa is UNIT:
-        return {wb: 1}
-    if wb is UNIT:
-        return {wa: 1}
-    ka, na = wa
-    kb, nb = wb
-    # v(0)^ka v(na) · v(0)^kb v(nb): push v(na) through, then prepend v(0)^ka
-    out = _letter_word(na, kb, nb)
-    if ka:
-        out = {(k + ka, n): c for (k, n), c in out.items()}
     return out
 
 

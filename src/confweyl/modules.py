@@ -315,6 +315,15 @@ def module_ext(alpha, beta, gamma):
     return mod
 
 
+def _spec_numbers(match, spec):
+    """The numbers a module spec matched, as Fractions; a zero denominator
+    is a ValueError that names the spec."""
+    try:
+        return [Fraction(g) for g in match.groups()]
+    except ZeroDivisionError:
+        raise ValueError(f"module spec {spec!r} has a zero denominator") from None
+
+
 def make_module(spec):
     """Build and validate a module from a spec string (or pass one through)."""
     if isinstance(spec, FiniteModule):
@@ -324,10 +333,10 @@ def make_module(spec):
         return module_trivial()
     m = _SPEC_M.match(text)
     if m:
-        return module_m(Fraction(m.group(1)), Fraction(m.group(2)))
+        return module_m(*_spec_numbers(m, spec))
     m = _SPEC_EXT.match(text)
     if m:
-        return module_ext(Fraction(m.group(1)), Fraction(m.group(2)), Fraction(m.group(3)))
+        return module_ext(*_spec_numbers(m, spec))
     raise ValueError(
         f"unknown module spec {spec!r}; expected M(alpha=..,delta=..), trivial, "
         f"or ext(alpha=..,beta=..,gamma=..)"

@@ -9,6 +9,7 @@ from confweyl.anick import (
     MatchingError,
     _combine,
     _f_memo,
+    _merge_weight,
     _zigzag,
     anick_delta_closed,
     anick_delta_morse,
@@ -25,6 +26,7 @@ from confweyl.anick import (
     matched_edge,
     parse_cell,
     parse_chain,
+    prefix_chain_degree,
     render_chain,
     render_combination,
 )
@@ -173,16 +175,12 @@ def test_matching_property_suite():
 
 
 def test_merge_weight_invertibility_guard():
-    from confweyl.anick import _merge_weight
-
     # an edge absent from the bar differential is rejected loudly
     with pytest.raises(MatchingError):
         _merge_weight(((0, 1), (0, 2)), ((0, 9),))
 
 
 def test_merge_weight_matches_the_bar_differential():
-    from confweyl.anick import _merge_weight
-
     edges = 0
     for cell in _sample_cells(3, 5, 4):
         edge = matched_edge(cell)
@@ -302,11 +300,10 @@ def test_clear_caches_drops_every_table():
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
-    coeffalg.normal_form("v(2)v(3)v(1)")
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _delta_cache and coeffalg._letter_word_memo
+    assert _f_memo and _delta_cache
     clear_caches()
-    assert not _f_memo and not _delta_cache and not coeffalg._letter_word_memo
+    assert not _f_memo and not _delta_cache
 
 
 def test_critical_cells_are_exactly_chain_cells():
@@ -536,17 +533,15 @@ def test_chain_text_forms():
 
 def _merged_partner_by_every_cut(cell):
     """Merged-end partner found by trying every cut of slot p+2 with the oracle."""
-    from confweyl.anick import _split_word, prefix_chain_degree
-
-    p = prefix_chain_degree(cell)
+    p = _prefix_chain_degree_by_letters(cell)
     if p + 2 > len(cell):
         return None
-    prefix, slot = cell_letters(cell[:p + 1]), cell[p + 1]
-    letters = cell_letters((slot,))
+    prefix, (k, n) = cell_letters(cell[:p + 1]), cell[p + 1]
+    letters = cell_letters(((k, n),))
     for cut in range(1, len(letters)):
         if oracle_is_chain(prefix + letters[:cut], p + 1):
-            left, right = _split_word(slot, cut)
-            return cell[:p + 1] + (left, right) + cell[p + 2:]
+            # v(0)^k v(n) split after ``cut`` letters: v(0)^cut | v(0)^(k-cut) v(n)
+            return cell[:p + 1] + ((cut - 1, 0), (k - cut, n)) + cell[p + 2:]
     return None
 
 
@@ -558,3 +553,65 @@ def test_merged_end_splits_after_one_letter():
             assert edge is None or edge[1] == "down", cell
         else:
             assert edge[:2] == (partner, "up"), cell
+
+
+def _prefix_chain_degree_by_letters(cell):
+    """Largest p with slots 1..p+1 an Anick p-chain, letter by letter: the
+    reference for the slot scan in ``prefix_chain_degree``."""
+    best = -1
+    letters = ()
+    for q, slot in enumerate(cell):
+        letters = letters + cell_letters((slot,))
+        if not is_chain(letters, q):
+            break
+        best = q
+    return best
+
+
+def _matched_edge_by_letters(cell):
+    """The matching with every slot rebuilt as letters and every prefix put
+    to ``is_chain``: the reference for ``matched_edge``."""
+    m = len(cell)
+    if m == 0:
+        return None
+    p = _prefix_chain_degree_by_letters(cell)
+    if p + 2 <= m:
+        k, n = cell[p + 1]
+        letters = cell_letters(cell[:p + 2])
+        if len(letters) > p + 2 and is_chain(letters[:p + 2], p + 1):
+            partner = cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:]
+            return partner, "up", _merge_weight(partner, cell)
+    hits = []
+    for q in range(-1, m - 2):
+        letters = cell_letters(cell[q + 1:q + 3])
+        (ka, na), (kb, nb) = cell[q + 1], cell[q + 2]
+        # the A₁ word product v(0)^ka v(na) · v(0)^kb v(nb)
+        product = {(k + ka, n) for (k, n) in coeffalg._letter_word(na, kb, nb)}
+        merged_word = next((w for w in product if cell_letters((w,)) == letters), None)
+        if merged_word is None:
+            continue
+        merged = cell[:q + 1] + (merged_word,) + cell[q + 3:]
+        if _prefix_chain_degree_by_letters(merged) != q:
+            continue
+        if not is_chain(cell_letters(cell[:q + 2]), q + 1):
+            continue
+        hits.append((q, merged))
+    assert len(hits) <= 1, cell
+    if hits:
+        merged = hits[0][1]
+        return merged, "down", _merge_weight(cell, merged)
+    return None
+
+
+def test_matching_read_off_slots_matches_the_letter_reference():
+    cells = _sample_cells(4, 6, 6)
+    assert len(cells) == 43652
+    for cell in cells:
+        assert prefix_chain_degree(cell) == _prefix_chain_degree_by_letters(cell), cell
+        edge, expected = matched_edge(cell), _matched_edge_by_letters(cell)
+        if expected is None:
+            assert edge is None, cell
+            assert cell_is_chain(cell), cell
+        else:
+            assert edge == expected and type(edge[2]) is type(expected[2]), cell
+            assert not cell_is_chain(cell), cell

@@ -160,6 +160,10 @@ def test_invalid_inputs_exit_2(capture):
     assert capture("nf", "w(2)")[0] == 2
     assert capture("cohomology", "--degree", "1", "--module", "nope",
                    "--window", "8")[0] == 2
+    # a zero denominator in a module spec is an input error, not a crash
+    for spec in ("M(alpha=1/0,delta=1)", "ext(alpha=1,beta=2/0,gamma=1)"):
+        code, _, err = capture("cohomology", "--degree", "1", "--module", spec, "--window", "6")
+        assert code == 2 and "zero denominator" in err and spec in err
     assert capture("chains", "--degree", "2")[0] == 2  # missing required flag
     assert capture("delta", "[2|-1]")[0] == 2  # negative index
     assert capture("homotopy", "g", "[1|0|2]")[0] == 2

@@ -12,8 +12,6 @@ from confweyl.coeffalg import (
     UNIT,
     AlgebraElement,
     _letter_word,
-    _letter_word_memo,
-    _word_product,
     coeff_image,
     derivation,
     normal_form,
@@ -61,6 +59,84 @@ def test_confluence_of_strategies(word):
     assert left == right == normal_form(word)
 
 
+def _letter_word_by_recursion(a, k, n):
+    """v(a)·v(0)^k v(n) by pushing v(a) past one v(0) at a time with
+    v(a)v(0) = v(0)v(a) + a·v(a-1): the reference for the closed form."""
+    if a == 0:
+        return {(k + 1, n): 1}
+    if k == 0:
+        return {(1, a + n): 1, (0, a + n - 1): a}
+    out = {}
+    for w, c in _letter_word_by_recursion(a, k - 1, n).items():
+        out[(w[0] + 1, w[1])] = out.get((w[0] + 1, w[1]), 0) + c
+    for w, c in _letter_word_by_recursion(a - 1, k - 1, n).items():
+        out[w] = out.get(w, 0) + a * c
+    return {w: c for w, c in out.items() if c}
+
+
+def test_letter_word_closed_form_matches_the_recursion():
+    # values, int coefficients and key order, and a new dict on every call
+    for a in range(12):
+        for k in range(8):
+            for n in range(12):
+                got = _letter_word(a, k, n)
+                assert list(got.items()) == list(_letter_word_by_recursion(a, k, n).items())
+                assert all(type(c) is int for c in got.values())
+                assert _letter_word(a, k, n) is not got
+
+
+def _weyl_normal_order(word):
+    """Naive normal ordering in A₁ = k⟨y, t⟩/(ty − yt − 1): rewrite the
+    leftmost ty as yt + 1 until none is left; returns {(i, j): c} for yⁱtʲ."""
+    todo, done = {word: 1}, {}
+    while todo:
+        w, c = todo.popitem()
+        pos = w.find("ty")
+        if pos < 0:
+            key = (w.count("y"), w.count("t"))
+            done[key] = done.get(key, 0) + c
+            continue
+        for rewritten in (w[:pos] + "yt" + w[pos + 2:], w[:pos] + w[pos + 2:]):
+            todo[rewritten] = todo.get(rewritten, 0) + c
+    return {key: c for key, c in done.items() if c}
+
+
+def _weyl_word(letters):
+    """The {y, t}-word of v(a₁)…v(aₘ) under v(a) ↦ y tᵃ."""
+    return "".join("y" + "t" * a for a in letters)
+
+
+def _from_weyl(terms):
+    """Back from A₁ to Λ: y^(k+1) tⁿ is v(0)^k v(n)."""
+    assert all(i >= 1 for i, _ in terms)
+    return AlgebraElement({(i - 1, j): c for (i, j), c in terms.items()})
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple))
+@settings(max_examples=120, deadline=None)
+def test_normal_form_is_normal_ordering_in_the_weyl_algebra(word):
+    assert normal_form(word) == _from_weyl(_weyl_normal_order(_weyl_word(word)))
+
+
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5))
+@settings(max_examples=120, deadline=None)
+def test_letter_word_is_the_weyl_product(a, k, n):
+    # (y tᵃ)(y^(k+1) tⁿ), normal-ordered rule by rule
+    product = _weyl_normal_order("y" + "t" * a + "y" * (k + 1) + "t" * n)
+    assert AlgebraElement(_letter_word(a, k, n)) == _from_weyl(product)
+
+
+def _word_product(wa, wb):
+    """Product of two normal words (or ``UNIT``) as a dict over normal
+    words: ``_letter_word`` for v(na)·wb, shifted by wa's v(0)^ka."""
+    if wa is UNIT:
+        return {wb: 1}
+    if wb is UNIT:
+        return {wa: 1}
+    ka, na = wa
+    return {(k + ka, n): c for (k, n), c in _letter_word(na, wb[0], wb[1]).items()}
+
+
 normal_words = st.tuples(st.integers(0, 4), st.integers(0, 8))
 
 
@@ -105,7 +181,7 @@ def test_multiply_associative(a, b, c):
 
 
 def _product_by_table(a, b):
-    """a·b summed pair by pair over the word-product table."""
+    """a·b summed pair by pair over the shifted letter-by-word products."""
     out = AlgebraElement.zero()
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
@@ -123,8 +199,8 @@ elements_with_unit = st.dictionaries(
 @given(elements_with_unit, elements_with_unit)
 @settings(max_examples=80, deadline=None)
 def test_multiply_matches_the_word_product_table(a, b):
-    # __mul__ shifts the unshifted table entry itself, and scales when
-    # either side is a pure scalar
+    # __mul__ applies the v(0)^ka shift itself, and scales when either side
+    # is a pure scalar
     product = a * b
     assert list(product.terms.items()) == list(_product_by_table(a, b).terms.items())
     for c in product.terms.values():
@@ -140,18 +216,6 @@ def test_scalar_multiplication_and_foreign_operands():
         x * "v(1)"
 
 
-def test_letter_word_table_is_shared_and_memoised():
-    # the a = 0 entry is memoised like the others; callers never mutate one
-    entry = _letter_word(0, 2, 3)
-    assert entry == {(3, 3): 1}
-    assert _letter_word(0, 2, 3) is entry and _letter_word_memo[(0, 2, 3)] is entry
-    before = {key: dict(val) for key, val in _letter_word_memo.items()}
-    normal_form("v(0)v(3)v(0)v(2)v(1)")
-    AlgebraElement.word(2, 1) * normal_form("v(3)v(0)v(2)")
-    _word_product((3, 2), (1, 0))
-    assert all(_letter_word_memo[key] == val for key, val in before.items())
-
-
 def test_derivation_examples():
     assert derivation(AlgebraElement.letter(3)) == AlgebraElement.letter(2).scale(-3)
     assert derivation(AlgebraElement.letter(0)).is_zero()
@@ -162,6 +226,14 @@ def test_derivation_examples():
 @settings(max_examples=40, deadline=None)
 def test_derivation_is_a_derivation(x, y):
     assert derivation(x * y) == derivation(x) * y + x * derivation(y)
+
+
+@given(elements_with_unit)
+@settings(max_examples=80, deadline=None)
+def test_derivation_is_ad_y(x):
+    # v(0) is y in A₁, and ad_y(tⁿ) = [y, tⁿ] = -n·tⁿ⁻¹
+    y = AlgebraElement.letter(0)
+    assert derivation(x) == y * x - x * y
 
 
 def test_coeff_image_examples():

@@ -48,7 +48,6 @@ _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.Set
 MODULE_TABLES = {
     "anick._f_memo",
     "anick._delta_cache",
-    "coeffalg._letter_word_memo",
     "checks.SUITES",
     "poly._VAR_INDEX",
     "poly._P_ZERO.terms",
