@@ -31,9 +31,15 @@ into split cells that g's corrections sum, kept as one pair in ``_f_memo``
 cycle).
 
 The structure constants are integers, so the bar differential and the
-closed-form δ sum each target's terms as ``int``s in a {target: {word: int}}
-dict and build each target's ``AlgebraElement`` once; a target whose terms
-cancel is dropped, in the key order element-by-element sums would give.
+closed-form δ sum each target's terms as ``int``s in a raw
+{target: {word: int}} dict (``_bar_terms``, ``_closed_delta_terms``); a
+target whose terms cancel is dropped, in the key order element-by-element
+sums would give.  The Morse traversal keeps its Λ-coefficients in the same
+raw stored form, {word: coeff} dicts multiplied by ``coeffalg._mul_into``,
+and so do the resolution checks in ``checks``.  ``bar_differential``,
+``anick_delta_closed``, ``homotopy_f``, ``homotopy_g`` and
+``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
+at return.
 
 The derivation twist D is not built here.  ``cohomology.d_map`` applies
 its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
@@ -51,6 +57,8 @@ from .coeffalg import (
     AlgebraElement,
     _element,
     _letter_word,
+    _mul_into,
+    _scaled,
     normal_form,
     parse_word,
     render_word,
@@ -153,11 +161,16 @@ def bar_differential(cell):
     normal words is ``_letter_word``'s closed form, shifted by the left
     word's v(0)s as it is read.  Degree-1 cells map to a₁ times the empty
     cell (the Λ-part of B₀).  Returns a dict BarCell -> AlgebraElement, with
-    integer coefficients.
+    integer coefficients: ``_bar_terms`` wrapped once per target.
+    """
+    return _wrap(_bar_terms(cell))
 
-    Each target's terms are summed as ``int``s in a {word: int} dict and
-    wrapped once; the head term a₁ can land on a merge target, so that one
-    entry mixes the word a₁ with a scalar.
+
+def _bar_terms(cell):
+    """The bar differential as raw {target: {word: int}} terms.
+
+    Each target's terms are summed as ``int``s; the head term a₁ can land on
+    a merge target, so that one entry mixes the word a₁ with a scalar.
     """
     n = len(cell)
     if n == 0:
@@ -172,7 +185,13 @@ def bar_differential(cell):
             if ka:
                 w = (w[0] + ka, w[1])
             _accumulate(acc, before + (w,) + after, UNIT, sign * c)
-    return {target: _element(terms) for target, terms in acc.items()}
+    return acc
+
+
+def _wrap(combo):
+    """{key: AlgebraElement} on raw {key: {word: coeff}} terms in stored form;
+    the inner dicts are not copied."""
+    return {key: _element(terms) for key, terms in combo.items()}
 
 
 def _accumulate(acc, target, word, c):
@@ -288,56 +307,49 @@ def matched_edge(cell):
         partner = cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:]
         return partner, "up", _merge_weight(partner, cell)
 
-    # split end: merge slots q+2, q+3 where the merged cell has prefix degree
-    # q and slots 1..q+2 are a (q+1)-chain (q < p); the slots concatenate to a
-    # normal word only when slot q+2 ends in v(0)
-    hits = []
-    for q in range(-1, min(m - 2, p)):
-        (ka, na), (kb, nb) = cell[q + 1], cell[q + 2]
-        if na:
-            continue  # junction rewrites: merged cell is not a basis vertex
-        merged = cell[:q + 1] + ((ka + kb + 1, nb),) + cell[q + 3:]
-        if prefix_chain_degree(merged) == q:
-            hits.append((q, merged))
-    if len(hits) > 1:
-        raise MatchingError(f"cell {cell} matched by {len(hits)} merge positions")
-    if hits:
-        q, merged = hits[0]
-        weight = _merge_weight(cell, merged)
-        return merged, "down", weight
+    # split end: inside the prefix only its last slot, p+1, can be v(0); a
+    # cell whose slot p+1 is v(0) with a slot after it merges them into
+    # v(0)^(kb+1) v(nb), which stops the prefix one slot earlier (q = p−1)
+    if 0 <= p < m - 1 and cell[p] == (0, 0):
+        kb, nb = cell[p + 1]
+        merged = cell[:p] + ((kb + 1, nb),) + cell[p + 2:]
+        return merged, "down", _merge_weight(cell, merged)
     return None
 
 
 # -- path-weight maps ---------------------------------------------------------------
 
-#: cell -> (f(cell), ascent(cell)), filled by ``_zigzag``
+#: cell -> (f(cell), ascent(cell)) as raw terms, filled by ``_zigzag``
 _f_memo = {}
 _delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
 
 
 def _combine(acc, coeff, combo):
-    """acc += coeff·combo with the Λ coefficient multiplying from the left."""
+    """acc += coeff·combo on raw terms, the Λ coefficient multiplying from
+    the left: ``coeff`` is a {word: coeff} dict and ``combo`` and ``acc``
+    map keys to such dicts.  A key whose terms cancel is deleted."""
     for key, val in combo.items():
-        term = coeff * val
-        prev = acc.get(key)
-        s = prev + term if prev is not None else term
-        if s.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = s
+        terms = acc.get(key)
+        if terms is None:
+            terms = acc[key] = {}
+        _mul_into(terms, coeff, val)
+        if not terms:
+            del acc[key]
 
 
 def _zigzag(cell, _stack=None):
     """Both path sums out of a bar cell in the reversed-edge graph, as the
-    pair (f(cell), ascent(cell)).
+    pair (f(cell), ascent(cell)) of raw {key: {word: coeff}} terms.
 
-    f is the projection B → A, a dict chain -> AlgebraElement: a critical
-    cell maps to its chain, a split end to 0, and a merged end lifts
-    through its partner and follows the remaining bar-differential edges.
-    The ascent, a dict BarCell -> AlgebraElement, sums the paths that climb
-    from a merged end into split cells (g's corrections); it is 0 on
-    critical cells and split ends.  Both halves of a merged end read one
-    matched edge and one bar differential of its partner.
+    f is the projection B → A, keyed by chain: a critical cell maps to its
+    chain, a split end to 0, and a merged end lifts through its partner and
+    follows the remaining bar-differential edges.  The ascent, keyed by bar
+    cell, sums the paths that climb from a merged end into split cells (g's
+    corrections); it is 0 on critical cells and split ends.  Both halves of
+    a merged end read one matched edge and the raw bar differential
+    ``_bar_terms`` of its partner.  The memo ``_f_memo`` keeps the pair;
+    its dicts are shared, so callers read them and never change them, and
+    the public maps wrap them as ``AlgebraElement``s at return.
     """
     cached = _f_memo.get(cell)
     if cached is not None:
@@ -348,20 +360,20 @@ def _zigzag(cell, _stack=None):
         raise MatchingError(f"cycle in Morse graph traversal at {cell}")
     edge = matched_edge(cell)
     if edge is None:
-        result = ({cell_to_chain(cell): AlgebraElement.one()}, {})
+        result = ({cell_to_chain(cell): {UNIT: 1}}, {})
     elif edge[1] == "down":
         result = ({}, {})
     else:
         partner, _, weight = edge
         inv = _negated_inverse(weight)
         _stack.add(cell)
-        f, ascent = {}, {partner: AlgebraElement.scalar(inv)}
-        for target, coeff in bar_differential(partner).items():
+        f, ascent = {}, {partner: {UNIT: inv}}
+        for target, coeff in _bar_terms(partner).items():
             if target == cell:
                 continue
             f_target, ascent_target = _zigzag(target, _stack)
             if f_target or ascent_target:
-                scaled = coeff.scale(inv)
+                scaled = _scaled(coeff, inv)
                 _combine(f, scaled, f_target)
                 _combine(ascent, scaled, ascent_target)
         _stack.discard(cell)
@@ -375,7 +387,16 @@ def homotopy_f(cell):
 
     Returns a dict chain -> AlgebraElement, the first half of ``_zigzag``.
     """
-    return _zigzag(cell)[0]
+    return _wrap(_zigzag(cell)[0])
+
+
+def _g_terms(chain):
+    """g(chain) as raw {cell: {word: coeff}} terms."""
+    cell = chain_to_cell(chain)
+    result = {cell: {UNIT: 1}}
+    for target, coeff in _bar_terms(cell).items():
+        _combine(result, coeff, _zigzag(target)[1])
+    return result
 
 
 def homotopy_g(chain):
@@ -383,20 +404,20 @@ def homotopy_g(chain):
 
     Returns a dict BarCell -> AlgebraElement.
     """
-    cell = chain_to_cell(chain)
-    result = {cell: AlgebraElement.one()}
-    for target, coeff in bar_differential(cell).items():
-        _combine(result, coeff, _zigzag(target)[1])
+    return _wrap(_g_terms(chain))
+
+
+def _morse_delta_terms(chain):
+    """δ(chain) by Morse paths as raw {chain: {word: coeff}} terms."""
+    result = {}
+    for target, coeff in _bar_terms(chain_to_cell(chain)).items():
+        _combine(result, coeff, _zigzag(target)[0])
     return result
 
 
 def anick_delta_morse(chain):
     """Differential on critical cells as a sum of Morse-graph path weights."""
-    cell = chain_to_cell(chain)
-    result = {}
-    for target, coeff in bar_differential(cell).items():
-        _combine(result, coeff, homotopy_f(target))
-    return result
+    return _wrap(_morse_delta_terms(chain))
 
 
 def anick_delta_closed(chain):
@@ -407,9 +428,15 @@ def anick_delta_closed(chain):
         + Σⱼ (-1)^j v(0) [i₁|…|iⱼ+iⱼ₊₁|…|iₙ]
         + Σⱼ Σ_{k<j} (-1)^j i_k [i₁|…|i_k-1|…|iⱼ+iⱼ₊₁|…|iₙ],
     with every target that is not an Anick chain dropped (an interior index
-    reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.  Terms
-    are summed as ``int``s per target and word, and wrapped once.
+    reaching 0).  Degree 1 maps [i] to v(i) times the empty chain.  This is
+    ``_closed_delta_terms`` wrapped once per target.
     """
+    return _wrap(_closed_delta_terms(chain))
+
+
+def _closed_delta_terms(chain):
+    """Closed-form δ as raw {target: {word: int}} terms, summed as ``int``s
+    per target and word."""
     n = len(chain)
     if n == 0:
         return {}
@@ -429,16 +456,18 @@ def anick_delta_closed(chain):
         for k in range(1, j):
             dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
             add(dec_k, UNIT, sign * chain[k - 1])
-    return {target: _element(terms) for target, terms in acc.items()}
+    return acc
 
 
 def clear_caches():
     """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
-    the ascent of every cell ``_zigzag`` met) and the δ terms
-    ``_delta_cache`` that ∇ assembly and Δ read.  Products in Λ keep no
-    table (``coeffalg._letter_word`` is a closed form), and the derivation
-    twist keeps none either: ``cohomology.d_map`` applies its decrement
-    rule directly."""
+    the ascent of every cell ``_zigzag`` met, as raw terms) and the δ terms
+    ``_delta_cache`` that ∇ assembly and Δ read.  The δ table of
+    ``checks.check_delta_squared`` is local to one degree of the check and
+    needs no clearing.  Products in Λ keep no table
+    (``coeffalg._letter_word`` is a closed form), and the derivation twist
+    keeps none either: ``cohomology.d_map`` applies its decrement rule
+    directly."""
     _f_memo.clear()
     _delta_cache.clear()
 

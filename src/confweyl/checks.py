@@ -9,6 +9,15 @@ definition, the reference the tests hold ``anick.is_chain`` to, and
 reference for the decrement rule in ``cohomology.d_map``; no engine path
 calls either.
 
+The resolution suites (``check_delta_squared``, ``check_morse_closed``,
+``check_fdg``, ``check_fg_identity``) read and accumulate the raw
+{key: {word: coeff}} terms of ``anick`` (``_closed_delta_terms``,
+``_bar_terms``, ``_g_terms``, ``_morse_delta_terms`` and the traversal pair
+of ``_zigzag``) and never wrap them: ``AlgebraElement`` equality compares
+the same dicts, so each comparison is the one the public maps would make.
+``check_delta_squared`` builds the δ of each degree-(n−1) target once, in a
+table local to degree n that is dropped before degree n+1.
+
 ``check_fdg`` computes f∘d once per cell within a grade.  Every cell of
 g(c) has c's slot count and c's grade (Σ indices − number of letters),
 because the rewriting rule v(n)v(m) → v(0)v(n+m) + n·v(n+m-1), slot splits
@@ -26,11 +35,13 @@ import random
 
 from . import modules
 from .anick import (
+    _bar_terms,
+    _closed_delta_terms,
     _combine,
-    anick_delta_closed,
-    anick_delta_morse,
+    _g_terms,
+    _morse_delta_terms,
+    _zigzag,
     bar_derivation,
-    bar_differential,
     cell_is_chain,
     cell_to_chain,
     enumerate_chains,
@@ -38,7 +49,7 @@ from .anick import (
     homotopy_g,
     matched_edge,
 )
-from .coeffalg import AlgebraElement, derivation as lambda_derivation, normal_form
+from .coeffalg import UNIT, AlgebraElement, derivation as lambda_derivation, normal_form
 from .cohomology import (
     Cochain,
     Window,
@@ -228,18 +239,28 @@ def oracle_twist_terms(chain):
 
 # -- resolution suites ------------------------------------------------------------------
 
-def _delta_of_combination(combo):
-    out = {}
-    for chain, coeff in combo.items():
-        _combine(out, coeff, anick_delta_closed(chain))
-    return out
-
-
 def check_delta_squared(max_degree=5, max_sum=10):
+    """δ∘δ = 0 on every chain of degree 2..max_degree, on raw terms.
+
+    The δ of each degree-(n−1) target is built once, in a table local to
+    degree n and dropped before degree n+1: chains of degree n share their
+    targets, and no other degree reads them.  As in ``_fd``, the table also
+    maps each coefficient's frozen items to one shared copy of it, which
+    keeps the degree-5 table at about a third of its unshared size.
+    """
     failures = []
     for degree in range(2, max_degree + 1):
+        table = {}
         for chain in enumerate_chains(degree, max_sum):
-            if _delta_of_combination(anick_delta_closed(chain)):
+            out = {}
+            for target, coeff in _closed_delta_terms(chain).items():
+                delta = table.get(target)
+                if delta is None:
+                    delta = table[target] = {
+                        t: table.setdefault(frozenset(c.items()), c)
+                        for t, c in _closed_delta_terms(target).items()}
+                _combine(out, coeff, delta)
+            if out:
                 failures.append(chain)
     return {"name": "delta-squared", "passed": not failures,
             "details": {"max_degree": max_degree, "max_sum": max_sum,
@@ -250,7 +271,7 @@ def check_morse_closed(max_degree=4, max_sum=8):
     failures = []
     for degree in range(1, max_degree + 1):
         for chain in enumerate_chains(degree, max_sum):
-            if anick_delta_morse(chain) != anick_delta_closed(chain):
+            if _morse_delta_terms(chain) != _closed_delta_terms(chain):
                 failures.append(chain)
     return {"name": "morse-closed", "passed": not failures,
             "details": {"max_degree": max_degree, "max_sum": max_sum,
@@ -258,27 +279,29 @@ def check_morse_closed(max_degree=4, max_sum=8):
 
 
 def _fd(cell, memo):
-    """(f∘d)(cell) = Σ_y c₂·f(y) over d(cell) = Σ_y c₂·y, read through ``memo``.
+    """(f∘d)(cell) = Σ_y c₂·f(y) over d(cell) = Σ_y c₂·y, on raw terms,
+    read through ``memo``.
 
-    The memo maps each cell met to its value, a compact {chain: coefficient}
-    dict, or the shared empty tuple for 0, and each coefficient to one
-    shared copy of it: the values of one grade hold few distinct
-    coefficients (24 among 2310 at degree 5, sum 10).
+    The memo maps each cell met to its value, a compact {chain: {word:
+    coeff}} dict, or the shared empty tuple for 0, and each coefficient's
+    frozen items to one shared copy of it: the values of one grade hold few
+    distinct coefficients (24 among 2310 at degree 5, sum 10).
     """
     got = memo.get(cell)
     if got is None:
         acc = {}
-        for y, c2 in bar_differential(cell).items():
-            projected = homotopy_f(y)
+        for y, c2 in _bar_terms(cell).items():
+            projected = _zigzag(y)[0]
             if projected:  # split ends project to 0; skip their product
                 _combine(acc, c2, projected)
-        got = memo[cell] = ({key: memo.setdefault(val, val) for key, val in acc.items()}
-                            if acc else ())
+        got = memo[cell] = ({key: memo.setdefault(frozenset(val.items()), val)
+                             for key, val in acc.items()} if acc else ())
     return got
 
 
 def _fdg(chain, memo=None):
-    """f∘d∘g on one chain, as Σ coeff·(f∘d)(cell) over g(chain) = Σ coeff·cell.
+    """f∘d∘g on one chain as raw terms, Σ coeff·(f∘d)(cell) over
+    g(chain) = Σ coeff·cell.
 
     ``memo`` holds (f∘d)(cell) for cells already met; a fresh one is used
     when none is given.
@@ -286,7 +309,7 @@ def _fdg(chain, memo=None):
     if memo is None:
         memo = {}
     out = {}
-    for cell, coeff in homotopy_g(chain).items():
+    for cell, coeff in _g_terms(chain).items():
         fd = _fd(cell, memo)
         if fd:
             _combine(out, coeff, fd)
@@ -302,7 +325,8 @@ def check_fdg(max_degree=4, max_sum=8):
     the memo of (f∘d)(cell) is dropped whenever the sum changes in
     ``enumerate_chains``' (sum, lex) order.  Σ coeff·(f∘d)(cell) is the
     same composite as Σ (coeff·c₂)·f(y), by associativity and
-    distributivity in Λ.
+    distributivity in Λ.  Both sides are raw terms; ``AlgebraElement``
+    equality compares the same dicts.
     """
     failures = []
     for degree in range(1, max_degree + 1):
@@ -310,7 +334,7 @@ def check_fdg(max_degree=4, max_sum=8):
         for chain in enumerate_chains(degree, max_sum):
             if sum(chain) != grade_sum:
                 memo, grade_sum = {}, sum(chain)
-            if _fdg(chain, memo) != anick_delta_closed(chain):
+            if _fdg(chain, memo) != _closed_delta_terms(chain):
                 failures.append(chain)
     return {"name": "fdg", "passed": not failures,
             "details": {"max_degree": max_degree, "max_sum": max_sum,
@@ -322,9 +346,9 @@ def check_fg_identity(max_degree=3, max_sum=7):
     for degree in range(1, max_degree + 1):
         for chain in enumerate_chains(degree, max_sum):
             out = {}
-            for cell, coeff in homotopy_g(chain).items():
-                _combine(out, coeff, homotopy_f(cell))
-            if out != {chain: AlgebraElement.one()}:
+            for cell, coeff in _g_terms(chain).items():
+                _combine(out, coeff, _zigzag(cell)[0])
+            if out != {chain: {UNIT: 1}}:
                 failures.append(chain)
     return {"name": "fg-identity", "passed": not failures,
             "details": {"max_degree": max_degree, "max_sum": max_sum,

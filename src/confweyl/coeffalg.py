@@ -130,37 +130,15 @@ class AlgebraElement:
 
     def scale(self, q):
         q = q if type(q) is int else _exact(Fraction(q))
-        return _element({w: _exact(c * q) for w, c in self.terms.items()} if q else {})
+        return _element(_scaled(self.terms, q) if q else {})
 
     def __mul__(self, other):
         if type(other) is not AlgebraElement:
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
-        # a pure scalar on either side is a scaling
-        if len(other.terms) == 1 and UNIT in other.terms:
-            return self.scale(other.terms[UNIT])
-        if len(self.terms) == 1 and UNIT in self.terms:
-            return other.scale(self.terms[UNIT])
         terms = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                c = ca * cb
-                if wa is UNIT:
-                    ka, products = 0, {wb: 1}
-                elif wb is UNIT:
-                    ka, products = 0, {wa: 1}
-                else:
-                    # v(0)^ka v(na)·wb: v(na)·wb, shifted by v(0)^ka as it is read
-                    ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
-                for w, cw in products.items():
-                    if ka:
-                        w = (w[0] + ka, w[1])
-                    s = _exact(terms.get(w, 0) + c * cw)
-                    if s:
-                        terms[w] = s
-                    else:
-                        del terms[w]
+        _mul_into(terms, self.terms, other.terms)
         return _element(terms)
 
     def __rmul__(self, other):
@@ -208,6 +186,43 @@ def _element(terms):
     return out
 
 
+def _scaled(terms, q):
+    """q·terms as a new stored-form dict, for a nonzero q in stored form."""
+    return {w: _exact(c * q) for w, c in terms.items()}
+
+
+def _mul_into(acc, a, b):
+    """acc += a·b on stored-form term dicts {word: coeff}, in place.
+
+    The product of two normal words is ``_letter_word``'s closed form for
+    v(na)·wb, shifted by wa's v(0)^ka as it is read; ``UNIT`` on either side
+    passes the other word through.  Integral sums stay ``int`` and any other
+    goes through ``_exact``.  An entry that cancels is deleted, so one met
+    again later is appended.  This is Λ's one product: ``AlgebraElement``
+    multiplies through it, and the Morse traversal in ``anick`` and the
+    resolution checks call it on raw dicts.
+    """
+    get = acc.get
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = ca * cb
+            if wa is UNIT or wb is UNIT:
+                ka, products = 0, {wb if wa is UNIT else wa: 1}
+            else:
+                # v(0)^ka v(na)·wb: v(na)·wb, shifted by v(0)^ka as it is read
+                ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
+            for w, cw in products.items():
+                if ka:
+                    w = (w[0] + ka, w[1])
+                s = get(w, 0) + c * cw
+                if type(s) is not int:
+                    s = _exact(s)
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+
+
 def normal_form(word):
     """Rewrite a raw word (sequence of letter indices) to the normal basis."""
     if isinstance(word, str):
@@ -217,18 +232,9 @@ def normal_form(word):
         if letter < 0:
             raise ValueError("letter indices must be nonnegative")
         new = {}
-        for w, c in result.items():
-            if w is UNIT:
-                new[(0, letter)] = new.get((0, letter), 0) + c
-            else:
-                for w2, c2 in _letter_word(letter, w[0], w[1]).items():
-                    s = new.get(w2, 0) + c * c2
-                    if s:
-                        new[w2] = s
-                    else:
-                        del new[w2]
+        _mul_into(new, {(0, letter): 1}, result)
         result = new
-    return AlgebraElement(result)
+    return _element(result)
 
 
 def derivation(x):

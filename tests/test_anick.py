@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from confweyl import coeffalg
 from confweyl.anick import (
     MatchingError,
+    _bar_terms,
     _combine,
     _f_memo,
+    _g_terms,
     _merge_weight,
     _zigzag,
     anick_delta_closed,
@@ -31,20 +33,25 @@ from confweyl.anick import (
     render_combination,
 )
 from confweyl.checks import (
-    _delta_of_combination,
     _fdg,
     _sample_cells,
     check_chain_kill,
+    check_delta_squared,
     check_fdg,
     check_matching,
     check_morse_closed,
     oracle_is_chain,
 )
-from confweyl.coeffalg import AlgebraElement
+from confweyl.coeffalg import UNIT, AlgebraElement
 
 
 def A(k, n):
     return AlgebraElement.word(k, n)
+
+
+def _elements(combo):
+    """Raw {key: {word: coeff}} terms as {key: AlgebraElement}."""
+    return {key: AlgebraElement(terms) for key, terms in combo.items()}
 
 
 def test_is_chain_examples():
@@ -217,15 +224,15 @@ def test_traversal_cycle_guard(traverse, monkeypatch):
         assert kind == "up"
         partners[partner] = second if cell == first else first
     assert len(partners) == 2
-    differential = anick.bar_differential
+    differential = anick._bar_terms
 
     def cyclic(cell):
         if cell in partners:
-            return {partners[cell]: coeffalg.AlgebraElement.one()}
+            return {partners[cell]: {UNIT: 1}}
         return differential(cell)
 
     clear_caches()
-    monkeypatch.setattr(anick, "bar_differential", cyclic)
+    monkeypatch.setattr(anick, "_bar_terms", cyclic)
     try:
         with pytest.raises(MatchingError, match="cycle"):
             traverse(first)
@@ -348,6 +355,16 @@ def test_morse_equals_closed(chain):
     assert anick_delta_morse(chain) == anick_delta_closed(chain)
 
 
+def _delta_of_combination(combo):
+    """δ of Σ coeff·chain, each coefficient multiplied as an AlgebraElement:
+    the reference for the raw δ table in ``check_delta_squared``."""
+    out = {}
+    for chain, coeff in combo.items():
+        for target, c2 in anick_delta_closed(chain).items():
+            _add(out, target, coeff * c2)
+    return out
+
+
 @given(chains_23)
 @settings(max_examples=40, deadline=None)
 def test_delta_squared_zero(chain):
@@ -399,6 +416,27 @@ def test_delta_squared_worked_instance():
     assert _delta_of_combination(anick_delta_closed((1, 1, 0))) == {}
 
 
+def test_check_delta_squared_catches_a_planted_delta_term(monkeypatch):
+    # one wrong δ term on a degree-3 chain must fail the suite at degree 4
+    # too, where that chain is read from the per-degree table as a target
+    from confweyl import anick, checks
+
+    closed = anick._closed_delta_terms
+
+    def planted(chain):
+        terms = closed(chain)
+        if chain == (1, 1, 0):
+            anick._accumulate(terms, (2, 1), UNIT, 1)
+        return terms
+
+    monkeypatch.setattr(checks, "_closed_delta_terms", planted)
+    report = check_delta_squared(max_degree=4, max_sum=4)
+    assert not report["passed"]
+    assert any(len(chain) == 4 for chain in report["details"]["failures"])
+    monkeypatch.undo()
+    assert check_delta_squared(max_degree=4, max_sum=4)["passed"]
+
+
 def test_homotopy_g_examples():
     assert homotopy_g((3,)) == {((0, 3),): AlgebraElement.one()}
     # degree 2 carries one correction cell
@@ -425,18 +463,18 @@ def test_homotopy_f_examples():
 @given(chains_23)
 @settings(max_examples=30, deadline=None)
 def test_fdg_equals_delta(chain):
-    assert _fdg(chain) == anick_delta_closed(chain)
+    assert _elements(_fdg(chain)) == anick_delta_closed(chain)
 
 
 def _fdg_unshared(chain):
-    """f∘d∘g as Σ (coeff·c₂)·f(y), with no (f∘d)(cell) shared between chains."""
+    """f∘d∘g as Σ (coeff·c₂)·f(y) on AlgebraElements, with no (f∘d)(cell)
+    shared between chains; returned as raw terms."""
     out = {}
     for cell, coeff in homotopy_g(chain).items():
         for y, c2 in bar_differential(cell).items():
-            projected = homotopy_f(y)
-            if projected:
-                _combine(out, coeff * c2, projected)
-    return out
+            for key, val in homotopy_f(y).items():
+                _add(out, key, coeff * c2 * val)
+    return {key: val.terms for key, val in out.items()}
 
 
 def test_fdg_memo_matches_the_unshared_composite():
@@ -447,22 +485,25 @@ def test_fdg_memo_matches_the_unshared_composite():
             if sum(chain) != grade_sum:
                 memo, grade_sum = {}, sum(chain)
             assert _fdg(chain, memo) == _fdg_unshared(chain), chain
-        # cells map to dicts or the empty tuple, coefficients to their one shared copy
-        assert memo and all((type(v) is dict or v == ()) if type(k) is tuple else v is k
-                            for k, v in memo.items())
+        # cells map to dicts or the empty tuple, each coefficient's frozen
+        # items to its one shared copy, and every value holds those copies
+        assert memo and all((type(v) is dict or v == ()) if type(k) is tuple
+                            else frozenset(v.items()) == k for k, v in memo.items())
+        assert all(memo[frozenset(c.items())] is c for k, v in memo.items()
+                   if type(k) is tuple for c in dict(v).values())
 
 
 def test_check_fdg_reads_f_through_its_memo():
     # a wrong f value for a split end met in d(g([2|1|0])) must fail the suite
     clear_caches()
     met = {}
-    for cell, coeff in homotopy_g((2, 1, 0)).items():
-        _combine(met, coeff, bar_differential(cell))
+    for cell, coeff in _g_terms((2, 1, 0)).items():
+        _combine(met, coeff, _bar_terms(cell))
     split_ends = [y for y in met if matched_edge(y) is not None]
     assert split_ends
     try:
         clear_caches()
-        _f_memo[split_ends[0]] = ({(7, 7): AlgebraElement.one()}, {})
+        _f_memo[split_ends[0]] = ({(7, 7): {UNIT: 1}}, {})
         report = check_fdg(max_degree=3, max_sum=4)
     finally:
         clear_caches()
@@ -615,3 +656,40 @@ def test_matching_read_off_slots_matches_the_letter_reference():
         else:
             assert edge == expected and type(edge[2]) is type(expected[2]), cell
             assert not cell_is_chain(cell), cell
+
+
+def _split_end_by_merge_scan(cell):
+    """The split-end side of the matching by scanning every merge position
+    q < p: merge slots q+2, q+3 when slot q+2 ends in v(0) and the merged
+    cell has prefix degree q.  The reference for the single test at q = p−1
+    in ``matched_edge``."""
+    m, p = len(cell), prefix_chain_degree(cell)
+    hits = []
+    for q in range(-1, min(m - 2, p)):
+        (ka, na), (kb, nb) = cell[q + 1], cell[q + 2]
+        if na:
+            continue  # junction rewrites: merged cell is not a basis vertex
+        merged = cell[:q + 1] + ((ka + kb + 1, nb),) + cell[q + 3:]
+        if prefix_chain_degree(merged) == q:
+            hits.append((q, merged))
+    assert len(hits) <= 1, cell
+    if hits:
+        q, merged = hits[0]
+        assert q == prefix_chain_degree(cell) - 1, cell
+        return merged, "down", _merge_weight(cell, merged)
+    return None
+
+
+def test_split_end_test_matches_the_merge_scan():
+    cells = _sample_cells(4, 6, 6)
+    assert len(cells) == 43652
+    split_ends = 0
+    for cell in cells:
+        expected = _split_end_by_merge_scan(cell)
+        edge = matched_edge(cell)
+        if expected is None:
+            assert edge is None or edge[1] == "up", cell
+        else:
+            assert edge == expected and type(edge[2]) is type(expected[2]), cell
+            split_ends += 1
+    assert split_ends == 6643

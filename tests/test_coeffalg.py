@@ -12,6 +12,7 @@ from confweyl.coeffalg import (
     UNIT,
     AlgebraElement,
     _letter_word,
+    _mul_into,
     coeff_image,
     derivation,
     normal_form,
@@ -205,6 +206,51 @@ def test_multiply_matches_the_word_product_table(a, b):
     assert list(product.terms.items()) == list(_product_by_table(a, b).terms.items())
     for c in product.terms.values():
         assert type(c) is int or c.denominator != 1
+
+
+raw_elements = st.dictionaries(
+    st.one_of(st.just(UNIT), st.tuples(st.integers(0, 2), st.integers(0, 5))),
+    st.one_of(st.integers(-9, 9),
+              st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+    max_size=4,
+).map(lambda terms: AlgebraElement(terms).terms)
+
+
+def _product_by_naive_reduction(acc, a, b):
+    """acc + a·b with each pair of words reduced by the naive rewriting
+    oracle on the concatenated letters, pair by pair (a's words outer) and
+    each pair's words in decreasing v(0)-power, cancelled entries deleted."""
+    out = dict(acc)
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            letters = cell_letters(tuple(w for w in (wa, wb) if w is not UNIT))
+            reduced = checks.oracle_normal_form(letters).terms if letters else {UNIT: 1}
+            for w in sorted(reduced, key=lambda w: -w[0] if w is not UNIT else 0):
+                s = out.get(w, 0) + ca * cb * reduced[w]
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+    return out
+
+
+def _stored_form(terms):
+    return all(c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+               for c in terms.values())
+
+
+@given(raw_elements, raw_elements, raw_elements)
+@settings(max_examples=150, deadline=None)
+def test_product_kernel_matches_naive_normal_ordering(acc, a, b):
+    # acc += a·b: values, stored form and key order; and __mul__ through it
+    want = _product_by_naive_reduction(acc, a, b)
+    got = dict(acc)
+    _mul_into(got, a, b)
+    assert list(got.items()) == list(want.items())
+    assert _stored_form(got)
+    product = (AlgebraElement(a) * AlgebraElement(b)).terms
+    assert list(product.items()) == list(_product_by_naive_reduction({}, a, b).items())
+    assert _stored_form(product)
 
 
 def test_scalar_multiplication_and_foreign_operands():
