@@ -436,26 +436,27 @@ def anick_delta_closed(chain):
 
 def _closed_delta_terms(chain):
     """Closed-form δ as raw {target: {word: int}} terms, summed as ``int``s
-    per target and word."""
+    per target and word.
+
+    Only a Σ_{k<j} target can fail to be a chain: its index i_k − 1 sits
+    before the merge, so it is interior, and it is 0 exactly when i_k = 1.
+    The head, the merge and the decremented merge of a chain are chains.
+    """
     n = len(chain)
     if n == 0:
         return {}
     acc = {}
-
-    def add(target, word, c):
-        if is_chain(target, len(target) - 1):
-            _accumulate(acc, target, word, c)
-
-    add(chain[1:], (0, chain[0]), 1)
+    _accumulate(acc, chain[1:], (0, chain[0]), 1)
     for j in range(1, n):  # merge of 1-based positions j, j+1
         sign = -1 if j % 2 else 1
         merged = chain[:j - 1] + (chain[j - 1] + chain[j],) + chain[j + 1:]
         dec_merged = chain[:j - 1] + (chain[j - 1] + chain[j] - 1,) + chain[j + 1:]
-        add(dec_merged, UNIT, sign * chain[j - 1])
-        add(merged, (0, 0), sign)  # v(0)-weighted merge
+        _accumulate(acc, dec_merged, UNIT, sign * chain[j - 1])
+        _accumulate(acc, merged, (0, 0), sign)  # v(0)-weighted merge
         for k in range(1, j):
-            dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
-            add(dec_k, UNIT, sign * chain[k - 1])
+            if chain[k - 1] != 1:
+                dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
+                _accumulate(acc, dec_k, UNIT, sign * chain[k - 1])
     return acc
 
 

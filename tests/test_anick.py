@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confweyl import coeffalg
+from confweyl import anick, coeffalg
 from confweyl.anick import (
     MatchingError,
     _bar_terms,
@@ -409,6 +409,41 @@ def test_delta_closed_matches_element_accumulation():
             want = _delta_closed_by_elements(chain)
             assert list(got.items()) == list(want.items()), chain
             assert _int_coefficients(got), chain
+
+
+def _closed_delta_terms_testing_every_target(chain):
+    """Raw closed-form δ that puts every target through ``is_chain``: the
+    reference for ``_closed_delta_terms``, which tests only the Σ_{k<j}
+    decrements."""
+    n = len(chain)
+    if n == 0:
+        return {}
+    acc = {}
+
+    def add(target, word, c):
+        if is_chain(target, len(target) - 1):
+            anick._accumulate(acc, target, word, c)
+
+    add(chain[1:], (0, chain[0]), 1)
+    for j in range(1, n):
+        sign = -1 if j % 2 else 1
+        merged = chain[:j - 1] + (chain[j - 1] + chain[j],) + chain[j + 1:]
+        dec_merged = chain[:j - 1] + (chain[j - 1] + chain[j] - 1,) + chain[j + 1:]
+        add(dec_merged, UNIT, sign * chain[j - 1])
+        add(merged, (0, 0), sign)
+        for k in range(1, j):
+            dec_k = merged[:k - 1] + (merged[k - 1] - 1,) + merged[k:]
+            add(dec_k, UNIT, sign * chain[k - 1])
+    return acc
+
+
+def test_closed_delta_terms_match_testing_every_target():
+    for degree in range(1, 7):
+        for chain in enumerate_chains(degree, 10):
+            got = anick._closed_delta_terms(chain)
+            want = _closed_delta_terms_testing_every_target(chain)
+            assert [(t, list(terms.items())) for t, terms in got.items()] \
+                == [(t, list(terms.items())) for t, terms in want.items()], chain
 
 
 def test_delta_squared_worked_instance():

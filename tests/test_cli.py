@@ -109,6 +109,9 @@ _GOLDEN = Path(__file__).parent / "golden"
     (("cohomology", "--degree", "3", "--module", "ext(alpha=2,beta=1/2,gamma=3)",
       "--window", "8"),
      "cohomology_ext_h3.json"),
+    # α = −3/2: the only report here whose elimination meets non-unit leads
+    (("cohomology", "--degree", "5", "--module", "M(alpha=-3/2,delta=1)", "--window", "11"),
+     "cohomology_h5_m32.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the

@@ -35,6 +35,7 @@ from confweyl.verify import (
     nabla2_reference_matrix,
     nabla_general_reference_matrix,
 )
+from test_ratmat import _oracle_rref
 
 W8 = Window(8, 0)
 
@@ -395,23 +396,26 @@ def test_restriction_equals_smaller_window(module, degree, W):
     assert restricted.columns == direct.columns
 
 
-def _fraction_route(rows):
-    """RREF over Q of fresh rows by the Fraction fallback of ``ratmat`` alone.
+def _fraction_route(ncols, rows):
+    """RREF over Q of sparse rows by the dense Fraction oracle of the tests.
 
     Returns {lead: row}, each row without its lead entry, which is 1.
     """
-    return ratmat._rref(rows, ratmat._subtract, ratmat._normalise)
+    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    reduced, pivots = _oracle_rref(ncols, dense)
+    return {p: {j: x for j, x in enumerate(row) if x and j != p}
+            for row, p in zip(reduced, pivots)}
 
 
 @settings(max_examples=40, deadline=None)
 @given(module=_modules, degree=st.integers(1, 4), W=st.integers(4, 7))
-def test_modular_elimination_matches_fraction_route(module, degree, W):
-    # the ratmat calls of cohomology_dim, each against the Fraction route
+def test_elimination_matches_dense_fraction_oracle(module, degree, W):
+    # the ratmat calls of cohomology_dim, each against the dense oracle
     window = Window(W)
     a_n = assemble_matrix(degree, module, window)
     a_prev = assemble_matrix(degree - 1, module, window)
 
-    rref = _fraction_route(a_n.rows())
+    rref = _fraction_route(a_n.ncols, a_n.rows())
     want = {f: {f: Fraction(1)} for f in range(a_n.ncols) if f not in rref}
     for lead, row in rref.items():
         for f, v in row.items():
@@ -421,8 +425,9 @@ def test_modular_elimination_matches_fraction_route(module, degree, W):
 
     col_keep = [sum(chain) <= window.inner for chain, _ in a_n.col_labels]
     projected = [{j: v for j, v in vec.items() if col_keep[j]} for vec in kernel]
-    assert rank_of_vectors(kernel, lambda j: col_keep[j]) == len(_fraction_route(projected))
+    assert rank_of_vectors(kernel, lambda j: col_keep[j]) \
+        == len(_fraction_route(a_n.ncols, projected))
 
     row_keep = [sum(chain) <= window.inner for chain, _ in a_prev.row_labels]
     assert a_prev.rank(lambda i: row_keep[i]) \
-        == len(_fraction_route(a_prev.rows(lambda i: row_keep[i])))
+        == len(_fraction_route(a_prev.ncols, a_prev.rows(lambda i: row_keep[i])))

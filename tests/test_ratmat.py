@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 import random
 
 from hypothesis import example, given, settings
@@ -6,14 +7,15 @@ from hypothesis import strategies as st
 import pytest
 
 from confweyl import ratmat
-from confweyl.ratmat import P, RationalMatrix, rank_of_vectors
+from confweyl.ratmat import RationalMatrix, rank_of_vectors
 
-# values that can send a matrix to the Fraction fallback: a multiple of P
-# vanishes mod P, 1/P scales its row by P, and 3⁴⁰ beside 2⁴¹ gives an RREF
-# entry too tall to lift
-_UNLIFTABLE = (Fraction(P), Fraction(2 * P), Fraction(1, P), Fraction(3 ** 40), Fraction(2 ** 41))
+P = (1 << 61) - 1  # a Mersenne prime: far taller than any ∇ entry
+
+# tall entries and non-unit pivots: multiples of P, 1/P (which scales its
+# row by P), and 3⁴⁰ beside 2⁴¹, whose RREF entry 2⁴¹/3⁴⁰ has height > 2⁶³
+_TALL = (Fraction(P), Fraction(2 * P), Fraction(1, P), Fraction(3 ** 40), Fraction(2 ** 41))
 entries = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=3),
-                    st.sampled_from(_UNLIFTABLE))
+                    st.sampled_from(_TALL))
 
 
 @st.composite
@@ -56,7 +58,7 @@ def _oracle_rref(ncols, rows):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
 
@@ -97,8 +99,8 @@ def test_ranks_match_dense_oracle(matrix, data):
     assert rank_of_vectors(vectors, lambda j: j in coords) == _oracle_rank(ncols, projected)
 
 
-# a chain of pivot rows, each reaching the next lead: back-substitution has to
-# clear the later leads first
+# a chain of pivot rows, each reaching the next lead: every new lead has to be
+# cleared from the rows before it
 _STAIRCASE = (4, [[Fraction(x) for x in row]
                   for row in ([1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1])])
 
@@ -121,47 +123,100 @@ def test_nullspace_is_the_rref_kernel_basis(matrix, rng):
     assert _matrix(ncols, shuffled).nullspace() == kernel
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """The field of every ``_rref`` call, in order: "mod P" or "Q"."""
-    seen = []
-    rref = ratmat._rref
-
-    def spy(rows, subtract, normalise):
-        seen.append("Q" if subtract is ratmat._subtract else "mod P")
-        return rref(rows, subtract, normalise)
-
-    monkeypatch.setattr(ratmat, "_rref", spy)
-    return seen
-
-
 def _pinned(rows):
     rows = [[Fraction(x) for x in row] for row in rows]
     return len(rows[0]), rows
 
 
-@pytest.mark.parametrize("matrix, rank, route", [
-    # staircase: certified on the modular route
-    (_STAIRCASE, 3, ["mod P"]),
-    # unlucky prime: the row (0, P) vanishes mod P, so rank_P = 1 < rank_Q = 2
-    (_pinned([[2, 1], [0, P]]), 2, ["mod P", "Q"]),
-    # reconstruction overflow: the RREF entry 2⁴¹/3⁴⁰ has height > 2³⁰
-    (_pinned([[3 ** 40, 2 ** 41]]), 1, ["mod P", "Q"]),
-    # 1/P: the row scales to (1, P), and no modular inverse of P is taken
-    (_pinned([[Fraction(1, P), 1]]), 1, ["mod P", "Q"]),
-    # rank_P = rank_Q, but (0, P, 5) reduces to (0, 0, 5) mod P: the lifted
-    # RREF is wrong, and only the certificate sees it
-    (_pinned([[2, 1, 0], [0, P, 5]]), 2, ["mod P", "Q"]),
+@pytest.mark.parametrize("matrix, rank", [
+    # staircase: each new lead is cleared from the rows before it
+    (_STAIRCASE, 3),
+    # the row (0, P) vanishes mod P, yet rank_Q = 2
+    (_pinned([[2, 1], [0, P]]), 2),
+    # the RREF entry 2⁴¹/3⁴⁰ has height > 2⁶³
+    (_pinned([[3 ** 40, 2 ** 41]]), 1),
+    # 1/P: the row scales to (1, P)
+    (_pinned([[Fraction(1, P), 1]]), 1),
+    # (0, P, 5) reduces to (0, 0, 5) mod P, where the true RREF row is (0, 1, 5/P)
+    (_pinned([[2, 1, 0], [0, P, 5]]), 2),
 ])
-def test_certificate_or_fallback_pinned(matrix, rank, route, routes):
+def test_exactness_pinned(matrix, rank):
     ncols, rows = matrix
     a = _matrix(ncols, rows)
     assert a.rank() == rank == _oracle_rank(ncols, rows)
-    assert routes == route
-    routes.clear()
     kernel = a.nullspace()
     assert kernel == _oracle_kernel(ncols, rows)
-    assert routes == route
     for vec in kernel:
         assert a.matvec(vec) == {}
 
+
+# non-unit leads, so elimination scales rows and has to divide out their gcd
+_NON_UNIT = (2, -2, 3, -3, 6, -6, 3 ** 40)
+
+
+@st.composite
+def tall_integer_matrices(draw):
+    """Dense integer rows of a matrix with more rows than columns.
+
+    Its rank is below the row count, and most rows are combinations of
+    earlier ones with non-unit coefficients.
+    """
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(ncols + 1, 10))
+    value = st.sampled_from(_NON_UNIT)
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 2)):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(value), draw(st.sampled_from((0,) + _NON_UNIT))
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=3))
+            rows.append([Fraction(draw(value)) if j in cols else Fraction(0)
+                         for j in range(ncols)])
+    return ncols, rows
+
+
+def _lead_order(ncols, rows):
+    """Leads in the order the rows, taken sparsest first, bring them in."""
+    rows = sorted(rows, key=lambda row: sum(1 for x in row if x))
+    order = []
+    for k in range(1, len(rows) + 1):
+        order += [p for p in _oracle_rref(ncols, rows[:k])[1] if p not in order]
+    return order
+
+
+@given(tall_integer_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_non_unit_leads_match_dense_oracle(matrix, data):
+    ncols, rows = matrix
+    a = _matrix(ncols, rows)
+    reduced, pivots = _oracle_rref(ncols, rows)
+    assert a.rank() == len(pivots) < len(rows)
+
+    # each RREF row in lowest terms, den > 0, equal to the oracle's row
+    rref = ratmat._exact_rref(a.rows())
+    assert sorted(rref) == pivots
+    for row, p in zip(reduced, pivots):
+        nums, den = rref[p]
+        assert den > 0 and gcd(den, *nums.values()) == 1
+        assert {j: Fraction(v, den) for j, v in nums.items()} \
+            == {j: x for j, x in enumerate(row) if x and j != p}
+
+    # the kernel basis, in vector order and key order: each vector holds its
+    # free column, then the leads in the order a's rows bring them in
+    order = _lead_order(ncols, [[row.get(j, Fraction(0)) for j in range(ncols)]
+                                for row in a.rows()])
+    rank = {p: i for i, p in enumerate(order)}
+    want = [dict(sorted(vec.items(), key=lambda item: rank.get(item[0], -1)))
+            for vec in _oracle_kernel(ncols, rows)]
+    assert [list(vec.items()) for vec in a.nullspace()] == [list(vec.items()) for vec in want]
+
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    assert a.rank(lambda i: keep[i]) \
+        == _oracle_rank(ncols, [row for row, k in zip(rows, keep) if k])
+    coords = data.draw(st.sets(st.integers(0, ncols - 1)))
+    vectors = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    projected = [[x if j in coords else Fraction(0) for j, x in enumerate(row)] for row in rows]
+    assert rank_of_vectors(vectors) == len(pivots)
+    assert rank_of_vectors(vectors, lambda j: j in coords) == _oracle_rank(ncols, projected)
