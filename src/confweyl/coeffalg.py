@@ -25,7 +25,9 @@ field stays Q.  An ``AlgebraElement`` stores every integral coefficient as
 an ``int`` and any other as a ``Fraction`` (never ``Fraction(n, 1)``), so
 products and sums of integral elements never build a Fraction.
 ``1 == Fraction(1)`` and both hash alike, so equality, hashing and
-rendering do not see the storage type.
+rendering do not see the storage type.  That stored form, ``_exact``, is
+the package's one scalar rule: ``Poly``, ∇ entries, scalar cochains and
+kernel vectors keep it too.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ UNIT = None  # the unit word of Λ
 
 
 def _exact(c):
-    """A coefficient in its stored form: an int when integral, else a Fraction."""
+    """An int or a Fraction in stored form; anything else (a float) is a TypeError."""
     if type(c) is int:
         return c
-    return c.numerator if c.denominator == 1 else c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"{c!r} is not an exact scalar: pass an int or a Fraction")
 
 
 def _letter_word(a, k, n):
@@ -81,7 +85,7 @@ class AlgebraElement:
         cleaned = {}
         if terms:
             for w, c in terms.items():
-                c = c if type(c) is int else _exact(Fraction(c))
+                c = _exact(c)
                 if c:
                     cleaned[w] = c
         self.terms = cleaned
@@ -129,7 +133,7 @@ class AlgebraElement:
         return _element({w: -c for w, c in self.terms.items()})
 
     def scale(self, q):
-        q = q if type(q) is int else _exact(Fraction(q))
+        q = _exact(q)
         return _element(_scaled(self.terms, q) if q else {})
 
     def __mul__(self, other):

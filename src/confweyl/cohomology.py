@@ -23,21 +23,20 @@ and the reduced differential ∇ = reduce ∘ Δ ∘ include is canonical.
 every column of ∇ⁿ in a single sweep over the degree-(n+1) chains,
 carrying the ∂-quotients of all columns at once.  The sweep holds every
 module value as ∂-coefficient arrays, one list per coordinate (index =
-power of ∂, ``int`` when integral, else ``Fraction``), so the split is
-c = f[0], g = f[1:] and no ``Poly`` arithmetic runs in it; the ``Poly``
-route of ``reduced_delta`` is the per-column oracle in the tests.
+power of ∂), so the split is c = f[0], g = f[1:] and no ``Poly``
+arithmetic runs in it; the ``Poly`` route of ``reduced_delta`` is the
+per-column oracle in the tests.  Both keep ``coeffalg._exact``'s stored
+form, so ``ratmat`` gets integral rows as ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .anick import _delta_cache, anick_delta_closed, enumerate_chains
+from .coeffalg import _exact
 from .modules import ModuleElement, make_module, reduce_element
 from .ratmat import RationalMatrix, rank_of_vectors
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,13 @@ class ScalarCochain:
         self.values = {}
         if values:
             for chain, vec in values.items():
-                vec = tuple(Fraction(x) for x in vec)
+                vec = tuple(map(_exact, vec))
                 if any(vec):
                     self.values[chain] = vec
 
     def value(self, chain):
         got = self.values.get(chain)
-        return got if got is not None else (_F0,) * self.module.rank
+        return got if got is not None else (0,) * self.module.rank
 
     def include(self):
         """Embed back as a constant-valued Cochain."""
@@ -275,15 +274,14 @@ class ReducedMatrix(RationalMatrix):
 def _coefficients(f):
     """A ∂-polynomial as its ∂-coefficient list: index = power of ∂.
 
-    An integral coefficient is stored as an ``int``, any other as a
-    ``Fraction``.  A polynomial carrying λ, μ or v raises ``ValueError``,
-    as ``split_constant`` does.
+    The coefficients keep ``Poly``'s stored form.  A polynomial carrying
+    λ, μ or v raises ``ValueError``, as ``split_constant`` does.
     """
     if not f.uses_only(("d",)):
         raise ValueError("a module value of the sweep must be a polynomial in ∂ only")
     out = [0] * (f.degree("d") + 1)
     for exp, c in f.terms.items():
-        out[exp[0]] = c.numerator if c.denominator == 1 else c
+        out[exp[0]] = c
     return out
 
 
@@ -315,7 +313,7 @@ def assemble_matrix(degree, module, window):
     per coordinate (``_coefficients``): the action memo converts
     ``act_algebra`` once per (δ coefficient, j), subtracting i·h is one
     coefficient loop, and the split b = c + ∂·g is c = f[0], g = f[1:].
-    The entries leave the sweep as ``Fraction``s.
+    The entries leave the sweep in stored form, an ``int`` when integral.
     """
     module = make_module(module)
     rank = module.rank
@@ -349,8 +347,7 @@ def assemble_matrix(degree, module, window):
         for col, b in entries.items():
             for coord, f in enumerate(b):
                 if f and f[0]:
-                    c = f[0]
-                    columns[col][base + coord] = c if type(c) is Fraction else Fraction(c)
+                    columns[col][base + coord] = _exact(f[0])
             quot = [f[1:] for f in b]
             if any(map(any, quot)):
                 quotients[col] = quot
@@ -436,7 +433,7 @@ def verify_theorem_constructions(module, n, window):
     rows, cols = a_n.col_index, a_prev.col_index
     # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
     chains = enumerate_chains(n - 1, window.W)
-    sign = Fraction(-1) ** (n + 1)
+    sign = (-1) ** (n + 1)
 
     def read(vec, chain):
         return vec.get(rows.get((chain, 0)), 0)  # 0 above the window

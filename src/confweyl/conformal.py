@@ -12,7 +12,6 @@ v^n (v+λ)^m.  The n-products are the coefficients of λ^n/n!.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .poly import Poly, D, V, L, M, parse_poly
@@ -65,7 +64,7 @@ class ConformalElement:
         return ConformalElement(hpoly * self.poly)
 
     def scale(self, q):
-        return ConformalElement(self.poly * Fraction(q))
+        return ConformalElement(self.poly * q)
 
     def is_zero(self):
         return self.poly.is_zero()

@@ -28,8 +28,6 @@ from .poly import Poly, D, L, M as MU, split_constant
 from .conformal import ConformalElement, lambda_product
 from .coeffalg import UNIT
 
-_F0 = Fraction(0)
-
 
 class ModuleValidationError(ValueError):
     """A module spec fails the conformal-module axioms."""
@@ -65,7 +63,7 @@ class ModuleElement:
         return ModuleElement(tuple(-a for a in self.coords))
 
     def scale(self, q):
-        return ModuleElement(tuple(a * Fraction(q) for a in self.coords))
+        return ModuleElement(tuple(a * q for a in self.coords))
 
     def poly_mul(self, p):
         return ModuleElement(tuple(a * p for a in self.coords))
@@ -147,7 +145,7 @@ class FiniteModule:
         out = {}
         for a, k, coeff in c.monomials():
             part = self._act_v_power(k, m)
-            sign = Fraction(-1) ** a
+            sign = (-1) ** a
             for deg, el in part.items():
                 key = deg + a
                 add = el.scale(sign * coeff)
@@ -243,8 +241,6 @@ def check_locality_compat(alpha, delta):
     Expands (α+∂+λ+Δ(μ-λ))(α+∂+Δλ) — the value of (v ∘λ v) ∘μ u computed
     through the inner action — and checks the λ-degree stays below 2.
     """
-    alpha = Fraction(alpha)
-    delta = Fraction(delta)
     base = Poly.const(alpha) + D
     expr = (base + L + (MU - L) * delta) * (base + L * delta)
     return expr.degree("l") < 2

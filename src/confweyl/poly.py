@@ -1,17 +1,21 @@
 """Exact sparse polynomials over the rationals in the variables ∂, v, λ, μ.
 
-Coefficients are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), so every operation here is exact.  Monomials are exponent
-4-tuples over the fixed variable order ∂ < v < λ < μ; polynomials store a
-map from exponent tuple to nonzero coefficient, which makes equality
-structural.  ASCII aliases d, v, l, m are accepted everywhere a variable
-name is expected and in the text parser.
+Coefficients keep Λ's stored form (``coeffalg._exact``): an ``int`` when
+integral, else a ``Fraction`` in lowest terms, so every operation here is
+exact and integral polynomials never build a Fraction.  A float
+coefficient is a ``TypeError``.  Monomials are exponent 4-tuples over the
+fixed variable order ∂ < v < λ < μ; polynomials store a map from exponent
+tuple to nonzero coefficient, which makes equality structural.  ASCII
+aliases d, v, l, m are accepted everywhere a variable name is expected and
+in the text parser.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import re
+
+from .coeffalg import _exact
 
 VAR_NAMES = ("d", "v", "l", "m")
 PRETTY_NAMES = ("∂", "v", "λ", "μ")
@@ -30,16 +34,6 @@ def var_index(name):
 _ZERO_EXP = (0, 0, 0, 0)
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
-
-
 class Poly:
     """Immutable sparse polynomial; do not mutate ``terms`` after creation."""
 
@@ -49,7 +43,7 @@ class Poly:
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     cleaned[exp] = coeff
         self.terms = cleaned
@@ -67,18 +61,18 @@ class Poly:
 
     @classmethod
     def const(cls, q):
-        q = _as_fraction(q)
+        q = _exact(q)
         return cls({_ZERO_EXP: q}) if q else _P_ZERO
 
     @classmethod
     def variable(cls, name):
         i = var_index(name)
         exp = tuple(1 if j == i else 0 for j in range(NVARS))
-        return cls({exp: Fraction(1)})
+        return cls({exp: 1})
 
     @classmethod
     def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): _as_fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -88,7 +82,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, _F0) + c
+            s = _exact(terms.get(exp, 0) + c)
             if s:
                 terms[exp] = s
             else:
@@ -129,7 +123,7 @@ class Poly:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                s = terms.get(exp, _F0) + ca * cb
+                s = _exact(terms.get(exp, 0) + ca * cb)
                 if s:
                     terms[exp] = s
                 else:
@@ -174,7 +168,7 @@ class Poly:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(_ZERO_EXP, _F0)
+        return self.terms.get(_ZERO_EXP, 0)
 
     def degree(self, name):
         """Degree in one variable; -1 for the zero polynomial."""
@@ -199,7 +193,7 @@ class Poly:
             deg = exp[i]
             rest = exp[:i] + (0,) + exp[i + 1:]
             bucket = out.setdefault(deg, {})
-            bucket[rest] = bucket.get(rest, _F0) + c
+            bucket[rest] = bucket.get(rest, 0) + c
         return {deg: Poly(bucket) for deg, bucket in out.items() if any(bucket.values())}
 
     def coefficient(self, name, deg):
@@ -241,7 +235,7 @@ class Poly:
                 e = exp[i]
                 if e:
                     nexp = exp[:i] + (e - 1,) + exp[i + 1:]
-                    terms[nexp] = terms.get(nexp, _F0) + c * e
+                    terms[nexp] = terms.get(nexp, 0) + c * e
             p = Poly(terms)
         return p
 
@@ -262,12 +256,11 @@ def _coerce(x):
     return NotImplemented
 
 
-_F0 = Fraction(0)
 _P_ZERO = Poly.__new__(Poly)
 _P_ZERO.terms = {}
 _P_ZERO._hash = None
 _P_ONE = Poly.__new__(Poly)
-_P_ONE.terms = {_ZERO_EXP: Fraction(1)}
+_P_ONE.terms = {_ZERO_EXP: 1}
 _P_ONE._hash = None
 
 D = Poly.variable("d")
@@ -350,7 +343,7 @@ def parse_poly(text):
         nonlocal result, sign, coeff, exps
         if coeff is None and exps is None:
             return
-        c = Fraction(sign) * (coeff if coeff is not None else 1)
+        c = sign * (coeff if coeff is not None else 1)
         e = exps if exps is not None else [0, 0, 0, 0]
         result = result + Poly({tuple(e): c})
         sign, coeff, exps = 1, None, None

@@ -1,9 +1,11 @@
 """Sparse exact rational matrices: rank, nullspace, matrix-vector products.
 
-Rows and columns are indexed 0..n-1 with caller-owned label lists.  Every
-rank and kernel is read off the reduced row echelon form (RREF) over Q,
-which ``_exact_rref`` computes by one incremental Gauss–Jordan elimination
-over the integers, fraction-free in the manner of Bareiss (Math. Comp. 1968):
+Rows and columns are indexed 0..n-1 with caller-owned label lists.  ∇'s
+entries arrive in ``coeffalg._exact``'s stored form (ints when integral),
+and kernel vectors leave in it.  Every rank and kernel is read off the
+reduced row echelon form (RREF) over Q, which ``_exact_rref`` computes by
+one incremental Gauss–Jordan elimination over the integers, fraction-free
+in the manner of Bareiss (Math. Comp. 1968):
 
 1. Each row is scaled to integers by the lcm of its denominators, and the
    rows are taken sparsest first, which keeps fill-in low.
@@ -32,18 +34,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class RationalMatrix:
-    """Sparse matrix stored column-major (list of dicts row -> value)."""
+    """Sparse matrix stored column-major (list of dicts row -> value).
 
-    def __init__(self, nrows, ncols, columns=None, row_labels=None, col_labels=None):
+    It owns ``columns``, kept as given, not copied: callers hand over fresh
+    columns and do not change them afterwards."""
+
+    def __init__(self, nrows, ncols, columns, row_labels=None, col_labels=None):
         self.nrows = nrows
         self.ncols = ncols
-        self.columns = [dict(c) for c in columns] if columns is not None \
-            else [{} for _ in range(ncols)]
+        self.columns = columns
         self.row_labels = row_labels
         self.col_labels = col_labels
 
@@ -64,7 +65,7 @@ class RationalMatrix:
             if not x:
                 continue
             for i, v in self.columns[j].items():
-                s = out.get(i, _F0) + v * x
+                s = out.get(i, 0) + v * x
                 if s:
                     out[i] = s
                 else:
@@ -80,16 +81,17 @@ class RationalMatrix:
         One vector per free column, in column order, read off the reduced
         row echelon form, so results are deterministic.  Each vector holds
         its free column first, then the leads in the order the rows, taken
-        sparsest first, bring them in.
+        sparsest first, bring them in.  An entry is an ``int`` when integral,
+        else a ``Fraction``.
         """
         rref = _exact_rref(self.rows())
-        basis = {f: {f: _F1} for f in range(self.ncols) if f not in rref}
+        basis = {f: {f: 1} for f in range(self.ncols) if f not in rref}
         # each integer row is dropped once read, so it and its Fractions are
         # never both held for the whole RREF
         for lead in list(rref):
             nums, den = rref.pop(lead)
             for j, v in nums.items():
-                basis[j][lead] = Fraction(-v, den)
+                basis[j][lead] = Fraction(-v, den) if v % den else -v // den
         return list(basis.values())
 
 

@@ -24,7 +24,7 @@ from .checks import (
     check_nabla_squared,
     oracle_twist_terms,
 )
-from .coeffalg import AlgebraElement, normal_form
+from .coeffalg import AlgebraElement, _exact, normal_form
 from .cohomology import (
     Cochain,
     Window,
@@ -36,8 +36,6 @@ from .cohomology import (
 )
 from .modules import ModuleValidationError, check_locality_compat, make_module, module_m
 from .poly import D
-
-_F0 = Fraction(0)
 
 
 def _timed(fn):
@@ -97,7 +95,8 @@ def _reference_matrix(alpha, degree, window, row_terms):
 
     s = 0 on non-chain tuples, so a term whose chain has an interior index
     below 1 or a last index below 0 is skipped, as is a zero value; an
-    entry whose terms cancel is dropped.
+    entry whose terms cancel is dropped.  Entries are in
+    ``assemble_matrix``'s stored form, an ``int`` when integral.
     """
     mod = module_m(alpha, 1)
     col_index = {lab: j for j, lab in enumerate(coordinate_labels(degree, mod, window))}
@@ -107,7 +106,7 @@ def _reference_matrix(alpha, degree, window, row_terms):
             if val == 0 or chain[-1] < 0 or (len(chain) > 1 and min(chain[:-1]) < 1):
                 continue
             column = columns[col_index[(chain, 0)]]
-            s = column.get(i, _F0) + val
+            s = _exact(column.get(i, 0) + val)
             if s:
                 column[i] = s
             else:
@@ -119,7 +118,7 @@ def nabla1_reference_matrix(alpha, window):
     """Rows [n|m]: -α at column n+m, +m at column n+m-1."""
     def row_terms(row):
         n, m = row
-        return (((n + m,), -alpha), ((n + m - 1,), Fraction(m)))
+        return (((n + m,), -alpha), ((n + m - 1,), m))
     return _reference_matrix(alpha, 1, window, row_terms)
 
 
@@ -127,8 +126,8 @@ def nabla2_reference_matrix(alpha, window):
     """Rows [n|m|p]: -α@(n+m,p) +α@(n,m+p) +m@(n+m-1,p) +p@(n+m,p-1) -p@(n,m+p-1)."""
     def row_terms(row):
         n, m, p = row
-        return (((n + m, p), -alpha), ((n, m + p), alpha), ((n + m - 1, p), Fraction(m)),
-                ((n + m, p - 1), Fraction(p)), ((n, m + p - 1), Fraction(-p)))
+        return (((n + m, p), -alpha), ((n, m + p), alpha), ((n + m - 1, p), m),
+                ((n + m, p - 1), p), ((n, m + p - 1), -p))
     return _reference_matrix(alpha, 2, window, row_terms)
 
 
@@ -162,7 +161,7 @@ def criterion_1():
         got = normal_form("v(2)v(3)v(1)")
         if got != want:
             return False, {"got": str(got)}
-        res = check_confluence(count=1000, max_len=6, max_index=8)
+        res = check_confluence(count=1000)
         return res["passed"], res["details"]
     passed, detail, secs = _timed(run)
     return _result(1, "GSB worked value and 1000-word confluence fuzz", passed, detail, secs, 5)
@@ -326,10 +325,10 @@ def criterion_9():
 
 def criterion_10():
     def run():
-        res = check_conformal_axioms(max_vdeg=6, max_ddeg=2)
+        res = check_conformal_axioms()
         if not res["passed"]:
             return False, {"suite": "conformal-axioms", **res["details"]}
-        res = check_conformal_associativity(max_total_vdeg=6)
+        res = check_conformal_associativity()
         if not res["passed"]:
             return False, {"suite": "conformal-associativity", **res["details"]}
         res = check_module_axioms()

@@ -20,6 +20,7 @@ from confweyl.coeffalg import (
     render_algebra_element,
 )
 from confweyl.conformal import ConformalElement, n_product
+from confweyl.poly import Poly
 
 words = st.lists(st.integers(0, 8), min_size=1, max_size=6).map(tuple)
 elements = st.dictionaries(
@@ -163,6 +164,16 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(half.scale(4).terms[w]) is int
     assert type((half * AlgebraElement.scalar(2)).terms[w]) is int
     assert str(half + half) == "v(0) v(2)" and str(half.scale(4)) == "2 v(0) v(2)"
+
+
+def test_floats_are_refused_on_every_scalar_path():
+    # a float's binary value is not the decimal it prints, so it is never stored
+    x = normal_form("v(2)v(3)")
+    for make in (lambda: AlgebraElement({UNIT: 0.1}), lambda: x.scale(0.1),
+                 lambda: Poly.const(0.1), lambda: Poly({(1, 0, 0, 0): 0.5}),
+                 lambda: ConformalElement.gen().scale(0.5)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_multiply_examples():

@@ -29,12 +29,13 @@ from confweyl.cohomology import (
 from confweyl.coeffalg import UNIT, AlgebraElement
 from confweyl.modules import ModuleElement, make_module, module_ext, module_m, module_trivial
 from confweyl.poly import D, Poly, parse_poly
-from confweyl.ratmat import rank_of_vectors
+from confweyl.ratmat import RationalMatrix, rank_of_vectors
 from confweyl.verify import (
     nabla1_reference_matrix,
     nabla2_reference_matrix,
     nabla_general_reference_matrix,
 )
+from test_coeffalg import _stored_form
 from test_ratmat import _oracle_rref
 
 W8 = Window(8, 0)
@@ -381,7 +382,7 @@ def test_assemble_matrix_matches_column_oracle(module, degree, W):
     assert got == want
     # same entry order within each column, so elimination sees identical rows
     assert [list(col) for col in got] == [list(col) for col in want]
-    # and the same value type: the sweep's int coefficients leave it as Fractions
+    # and the same value type: both keep the stored form, an int where integral
     assert [[type(v) for v in col.values()] for col in got] == \
         [[type(v) for v in col.values()] for col in want]
 
@@ -396,12 +397,27 @@ def test_restriction_equals_smaller_window(module, degree, W):
     assert restricted.columns == direct.columns
 
 
+@settings(max_examples=40, deadline=None)
+@given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7),
+       alpha=st.sampled_from([0, 1, Fraction(-3, 2)]))
+def test_nabla_and_kernel_entries_keep_the_stored_form(module, degree, W, alpha):
+    # ∇ entries and kernel vectors are ints where integral: never Fraction(n, 1)
+    window = Window(W, 0)
+    assembled = assemble_matrix(degree, module, window)
+    columns = nabla_general_reference_matrix(alpha, degree, window)
+    reference = RationalMatrix(len(enumerate_chains(degree + 1, W)), len(columns), columns)
+    for a in (assembled, reference):
+        assert all(_stored_form(col) for col in a.columns)
+        assert all(_stored_form(vec) for vec in a.nullspace())
+
+
 def _fraction_route(ncols, rows):
     """RREF over Q of sparse rows by the dense Fraction oracle of the tests.
 
     Returns {lead: row}, each row without its lead entry, which is 1.
     """
-    dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    # the oracle divides, so its int entries become Fractions first
+    dense = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
     reduced, pivots = _oracle_rref(ncols, dense)
     return {p: {j: x for j, x in enumerate(row) if x and j != p}
             for row, p in zip(reduced, pivots)}

@@ -93,6 +93,23 @@ def test_module_level_tables_are_pinned():
     assert found == MODULE_TABLES
 
 
+def _fraction_constants(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in _module_statements(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            for call in ast.walk(node.value):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                        and call.func.id == "Fraction":
+                    yield f"{path.stem}:{node.lineno}"
+
+
+def test_no_module_level_fraction_constants():
+    # scalars keep one stored form, an int when integral (coeffalg._exact),
+    # so a Fraction(0) or Fraction(1) constant would reintroduce the other
+    found = [hit for path in sorted(SRC.rglob("*.py")) for hit in _fraction_constants(path)]
+    assert not found, found
+
+
 def test_clear_caches_empties_every_global_memo():
     import importlib
 
