@@ -4,7 +4,6 @@ conformal Weyl algebra U(2) over its coefficient algebra."""
 from .poly import Poly, split_constant, parse_poly
 from .conformal import (
     ConformalElement,
-    LambdaPoly,
     check_associativity,
     conf_commutator,
     lambda_product,

@@ -39,7 +39,7 @@ raw stored form, {word: coeff} dicts multiplied by ``coeffalg._mul_into``,
 and so do the resolution checks in ``checks``.  ``bar_differential``,
 ``anick_delta_closed``, ``homotopy_f``, ``homotopy_g`` and
 ``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
-at return.
+at return; ∇ assembly and Δ read δ unwrapped, from ``_cached_delta_terms``.
 
 The derivation twist D is not built here.  ``cohomology.d_map`` applies
 its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
@@ -321,7 +321,7 @@ def matched_edge(cell):
 
 #: cell -> (f(cell), ascent(cell)) as raw terms, filled by ``_zigzag``
 _f_memo = {}
-_delta_cache = {}  # chain -> δ's terms as a list; filled by cohomology._delta_terms
+_delta_cache = {}  # chain -> δ's raw terms; filled by _cached_delta_terms
 
 
 def _combine(acc, coeff, combo):
@@ -460,10 +460,24 @@ def _closed_delta_terms(chain):
     return acc
 
 
+def _cached_delta_terms(chain):
+    """``_closed_delta_terms(chain)`` memoised in ``_delta_cache``, the δ
+    table ∇ assembly and Δ read; callers never change the terms.  As in
+    ``checks.check_delta_squared``, the table also maps each coefficient's
+    frozen items to one shared copy of it."""
+    got = _delta_cache.get(chain)
+    if got is None:
+        got = _delta_cache[chain] = {
+            target: _delta_cache.setdefault(frozenset(terms.items()), terms)
+            for target, terms in _closed_delta_terms(chain).items()}
+    return got
+
+
 def clear_caches():
     """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
-    the ascent of every cell ``_zigzag`` met, as raw terms) and the δ terms
-    ``_delta_cache`` that ∇ assembly and Δ read.  The δ table of
+    the ascent of every cell ``_zigzag`` met, as raw terms) and the δ table
+    ``_delta_cache`` that ∇ assembly and Δ read through
+    ``_cached_delta_terms``, shared coefficients included.  The δ table of
     ``checks.check_delta_squared`` is local to one degree of the check and
     needs no clearing.  Products in Λ keep no table
     (``coeffalg._letter_word`` is a closed form), and the derivation twist

@@ -71,30 +71,30 @@ def rewrite_positions(word):
 
 
 def rewrite_at(word, pos):
-    """One rewriting step at a position: list of (coefficient, word)."""
+    """One rewriting step at a position: list of (int coefficient, word)."""
     n, m = word[pos], word[pos + 1]
     first = word[:pos] + (0, n + m) + word[pos + 2:]
-    out = [(Fraction(1), first)]
+    out = [(1, first)]
     if n:
-        out.append((Fraction(n), word[:pos] + (n + m - 1,) + word[pos + 2:]))
+        out.append((n, word[:pos] + (n + m - 1,) + word[pos + 2:]))
     return out
 
 
 def reduce_word_strategy(word, pick):
-    """Fully reduce a word with a position-picking strategy; dict word->coeff."""
-    pending = {tuple(word): Fraction(1)}
+    """Fully reduce a word with a position-picking strategy; dict word->int coeff."""
+    pending = {tuple(word): 1}
     done = {}
     while pending:
         w, c = pending.popitem()
         positions = rewrite_positions(w)
         if not positions:
-            done[w] = done.get(w, Fraction(0)) + c
+            done[w] = done.get(w, 0) + c
             if not done[w]:
                 del done[w]
             continue
         for c2, w2 in rewrite_at(w, pick(positions)):
             key = w2
-            acc = pending.get(key, Fraction(0)) + c * c2
+            acc = pending.get(key, 0) + c * c2
             if acc:
                 pending[key] = acc
             else:
@@ -370,11 +370,12 @@ def _sample_cells(max_slots=3, max_letters=4, max_index=4):
     return cells
 
 
-def check_matching(max_slots=3, max_letters=4, max_index=4):
-    """Partner-of-partner involution and single-partner property."""
+def check_matching():
+    """Partner-of-partner involution and single-partner property, on every
+    bar cell of at most 3 slots and 4 letters with indices ≤ 4."""
     failures = []
     partner_of = {}
-    cells = _sample_cells(max_slots, max_letters, max_index)
+    cells = _sample_cells(3, 4, 4)
     for cell in cells:
         edge = matched_edge(cell)
         if edge is None:
@@ -415,20 +416,18 @@ def check_conformal_axioms():
     mons = [ConformalElement.monomial(a, n) for n in range(1, 7) for a in range(3)]
     for a in mons:
         for b in mons:
-            left = lambda_product(a.d_mul(), b).as_poly()
-            if left != -L * lambda_product(a, b).as_poly():
-                failures.append(("C2", str(a), str(b)))
-            right = lambda_product(a, b.d_mul()).as_poly()
-            if right != (D + L) * lambda_product(a, b).as_poly():
-                failures.append(("C3", str(a), str(b)))
             lam = lambda_product(a, b)
+            if lambda_product(a.d_mul(), b) != -L * lam:
+                failures.append(("C2", str(a), str(b)))
+            if lambda_product(a, b.d_mul()) != (D + L) * lam:
+                failures.append(("C3", str(a), str(b)))
             rebuilt = Poly.zero()
             fact = 1
-            for n in range(0, lam.degree() + 1):
+            for n in range(0, lam.degree("l") + 1):
                 if n:
                     fact *= n
                 rebuilt = rebuilt + L ** n * n_product(a, b, n).poly * Fraction(1, fact)
-            if rebuilt != lam.as_poly():
+            if rebuilt != lam:
                 failures.append(("reconstruction", str(a), str(b)))
     return {"name": "conformal-axioms", "passed": not failures,
             "details": {"monomials": len(mons), "failures": failures[:5]}}

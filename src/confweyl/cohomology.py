@@ -27,14 +27,17 @@ power of ∂), so the split is c = f[0], g = f[1:] and no ``Poly``
 arithmetic runs in it; the ``Poly`` route of ``reduced_delta`` is the
 per-column oracle in the tests.  Both keep ``coeffalg._exact``'s stored
 form, so ``ratmat`` gets integral rows as ints.
+Δ and the sweep read δ's raw terms from ``anick._cached_delta_terms`` and
+wrap a coefficient as an ``AlgebraElement`` only on an action-memo miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .anick import _delta_cache, anick_delta_closed, enumerate_chains
-from .coeffalg import _exact
+from .anick import _cached_delta_terms, enumerate_chains
+from .coeffalg import _element, _exact
 from .modules import ModuleElement, make_module, reduce_element
 from .ratmat import RationalMatrix, rank_of_vectors
 
@@ -121,20 +124,13 @@ class ScalarCochain:
 
 # -- differential and derivation maps --------------------------------------------
 
-def _delta_terms(chain):
-    got = _delta_cache.get(chain)
-    if got is None:
-        got = list(anick_delta_closed(chain).items())
-        _delta_cache[chain] = got
-    return got
-
-
-def _act(module, coeff, val):
-    """coeff·val through the module's own action memo."""
-    key = (coeff, val)
+def _act(module, terms, val):
+    """x·val for x ∈ Λ given by its raw terms, through the module's own
+    action memo, keyed by (x's frozen items, val)."""
+    key = (frozenset(terms.items()), val)
     got = module.action_memo.get(key)
     if got is None:
-        got = module.action_memo[key] = module.act_algebra(coeff, val)
+        got = module.action_memo[key] = module.act_algebra(_element(terms), val)
     return got
 
 
@@ -142,16 +138,16 @@ def hochschild_delta(phi, window):
     """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
 
     The action of each δ coefficient on each value is memoised per module
-    (``FiniteModule.action_memo``), keyed by (coefficient, value).
+    (``FiniteModule.action_memo``).
     """
     module = phi.module
     out = {}
     for x in enumerate_chains(phi.degree + 1, window.W):
         acc = module.zero()
-        for y, coeff in _delta_terms(x):
+        for y, terms in _cached_delta_terms(x).items():
             val = phi.values.get(y)
             if val is not None:
-                acc = acc + _act(module, coeff, val)
+                acc = acc + _act(module, terms, val)
         if not acc.is_zero():
             out[x] = acc
     return Cochain(phi.degree + 1, module, out)
@@ -311,19 +307,21 @@ def assemble_matrix(degree, module, window):
 
     Every module value of the sweep is a list of ∂-coefficient arrays, one
     per coordinate (``_coefficients``): the action memo converts
-    ``act_algebra`` once per (δ coefficient, j), subtracting i·h is one
-    coefficient loop, and the split b = c + ∂·g is c = f[0], g = f[1:].
-    The entries leave the sweep in stored form, an ``int`` when integral.
+    ``act_algebra`` on every eⱼ once per distinct δ coefficient, subtracting
+    i·h is one coefficient loop, and the split b = c + ∂·g is c = f[0],
+    g = f[1:].  The entries leave the sweep in stored form, an ``int`` when
+    integral.
     """
     module = make_module(module)
     rank = module.rank
     col_labels = coordinate_labels(degree, module, window)
-    row_labels = coordinate_labels(degree + 1, module, window)
-    col_index = {lab: i for i, lab in enumerate(col_labels)}
-    columns = [{} for _ in col_labels]
+    # made on the empty columns the sweep fills, so its column index is built once
+    matrix = ReducedMatrix(degree, module, window, [{} for _ in col_labels],
+                           coordinate_labels(degree + 1, module, window), col_labels)
+    columns, col_index = matrix.columns, matrix.col_index
     basis = module.basis()
     zero = [[]] * rank
-    action = {}  # (δ coefficient, j) -> coefficient arrays of the coefficient acting on eⱼ
+    action = {}  # δ coefficient's frozen items -> its coefficient arrays on each eⱼ
     # chain -> {column: h}, for the chains at the current sum and the one below;
     # a decrement lowers the sum by exactly one, so older quotients are never read
     carried, carried_prev, level = {}, {}, None
@@ -331,13 +329,15 @@ def assemble_matrix(degree, module, window):
         if sum(x) != level:
             carried, carried_prev, level = {}, carried, sum(x)
         entries = {}
-        for y, coeff in _delta_terms(x):
-            key = frozenset(coeff.terms.items())
-            for j in range(rank):
-                act = action.get((key, j))
-                if act is None:
-                    act = action[(key, j)] = [
-                        _coefficients(f) for f in module.act_algebra(coeff, basis[j]).coords]
+        for y, terms in _cached_delta_terms(x).items():
+            key = frozenset(terms.items())
+            acts = action.get(key)
+            if acts is None:
+                coeff = _element(terms)
+                acts = action[key] = [
+                    [_coefficients(f) for f in module.act_algebra(coeff, e).coords]
+                    for e in basis]
+            for j, act in enumerate(acts):
                 entries[col_index[(y, j)]] = act
         for _, i, dec in _decrements(x):
             for col, h in carried_prev.get(dec, {}).items():
@@ -353,7 +353,7 @@ def assemble_matrix(degree, module, window):
                 quotients[col] = quot
         if quotients:
             carried[x] = quotients
-    return ReducedMatrix(degree, module, window, columns, row_labels, col_labels)
+    return matrix
 
 
 def _projected_dims(a_n, a_prev, inner):
@@ -386,7 +386,8 @@ def cohomology_dim(n, module, window):
     dim_ker2, dim_im2 = _projected_dims(a_n.restrict(smaller), a_prev.restrict(smaller),
                                         smaller.inner)
     stable = (dim_ker2 - dim_im2) == dim_h
-    counts = {deg: len(enumerate_chains(deg, window.W)) for deg in range(1, n + 2)}
+    # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
+    counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
     return {
         "degree": n,
         "module": module.spec,

@@ -87,56 +87,8 @@ class ConformalElement:
         return f"ConformalElement({str(self.poly)!r})"
 
 
-class LambdaPoly:
-    """Polynomial in λ with conformal-element coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-
-    @classmethod
-    def from_poly(cls, p):
-        """Split a polynomial in (∂, v, λ) along λ-degree."""
-        return cls({deg: ConformalElement(q) for deg, q in p.coeffs_in("l").items()})
-
-    def as_poly(self):
-        out = Poly.zero()
-        for deg, c in self.coeffs.items():
-            out = out + c.poly * L ** deg
-        return out
-
-    def coefficient(self, n):
-        return self.coeffs.get(n, ConformalElement.zero())
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else -1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __sub__(self, other):
-        return LambdaPoly.from_poly(self.as_poly() - other.as_poly())
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for deg in sorted(self.coeffs):
-            body = f"({self.coeffs[deg]})"
-            if deg == 0:
-                chunks.append(body)
-            elif deg == 1:
-                chunks.append(f"{body}*λ")
-            else:
-                chunks.append(f"{body}*λ^{deg}")
-        return " + ".join(chunks)
-
-
-def _lambda_product_poly(a, b):
+def lambda_product(a, b):
+    """λ-product of two elements of U(2), as a ``Poly`` in ∂, v and λ."""
     out = Poly.zero()
     for ad, av, ac in a.monomials():
         left = (-L) ** ad * V ** av
@@ -145,48 +97,34 @@ def _lambda_product_poly(a, b):
     return out
 
 
-def lambda_product(a, b):
-    """λ-product of two elements of U(2)."""
-    return LambdaPoly.from_poly(_lambda_product_poly(a, b))
-
-
 def n_product(a, b, n):
     """n-th product: n! times the λ^n coefficient of the λ-product."""
     if n < 0:
         raise ValueError("n-products need n >= 0")
-    return lambda_product(a, b).coefficient(n).scale(factorial(n))
+    return ConformalElement(lambda_product(a, b).coefficient("l", n) * factorial(n))
 
 
 def locality(a, b):
     """Least N with (a ∘n b) = 0 for all n ≥ N (0 for zero arguments)."""
-    return lambda_product(a, b).degree() + 1
+    return lambda_product(a, b).degree("l") + 1
 
 
 def conf_commutator(a, b):
-    """[a ∘λ b] = (a ∘λ b) - (b ∘_{-∂-λ} a).
+    """[a ∘λ b] = (a ∘λ b) - (b ∘_{-∂-λ} a), as a ``Poly`` in ∂, v and λ.
 
     The substitution μ → -∂-λ expands powers of -∂-λ and multiplies them
     into the coefficients (the H-module action is multiplication by ∂).
     """
-    left = _lambda_product_poly(a, b)
-    right = _lambda_product_poly(b, a).subs("l", -(D + L))
-    return LambdaPoly.from_poly(left - right)
-
-
-def _outer_at_sum(x_lambda_poly, c):
-    """((x) ∘_{λ+μ} c) for an λ-polynomial x; the wrapper λ powers stay put."""
-    out = Poly.zero()
-    for deg, f in x_lambda_poly.coeffs.items():
-        piece = _lambda_product_poly(f, c).subs("l", L + M)
-        out = out + L ** deg * piece
-    return out
+    return lambda_product(a, b) - lambda_product(b, a).subs("l", -(D + L))
 
 
 def check_associativity(a, b, c):
-    """Whether a ∘λ (b ∘μ c) = (a ∘λ b) ∘_{λ+μ} c as (λ, μ)-polynomials."""
-    inner = lambda_product(b, c)  # λ-split; reassembled below with μ as the inner variable
+    """Whether a ∘λ (b ∘μ c) = (a ∘λ b) ∘_{λ+μ} c as (λ, μ)-polynomials;
+    each side splits its inner product along λ."""
     lhs = Poly.zero()
-    for deg, f in inner.coeffs.items():
-        lhs = lhs + M ** deg * _lambda_product_poly(a, f)
-    rhs = _outer_at_sum(lambda_product(a, b), c)
+    for deg, f in lambda_product(b, c).coeffs_in("l").items():
+        lhs = lhs + M ** deg * lambda_product(a, ConformalElement(f))
+    rhs = Poly.zero()
+    for deg, f in lambda_product(a, b).coeffs_in("l").items():
+        rhs = rhs + L ** deg * lambda_product(ConformalElement(f), c).subs("l", L + M)
     return lhs == rhs

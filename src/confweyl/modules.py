@@ -104,8 +104,8 @@ class FiniteModule:
             (i, j, l, part)
             for i, row in enumerate(self.action) for j, entry in enumerate(row)
             for l, part in sorted(entry.coeffs_in("l").items()))
-        # (x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``); owned by the
-        # module, so it is freed with it
+        # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``);
+        # owned by the module, so it is freed with it
         self.action_memo = {}
 
     def zero(self):
@@ -261,8 +261,8 @@ def associativity_residual(module, m):
                 lhs[i] = lhs[i] + el2.coords[i] * MU ** deg * L ** d2
     rhs = [Poly.zero()] * module.rank
     v = ConformalElement.gen()
-    for deg, f in lambda_product(v, v).coeffs.items():
-        for d2, el2 in module.act_lambda(f, m).items():
+    for deg, f in lambda_product(v, v).coeffs_in("l").items():
+        for d2, el2 in module.act_lambda(ConformalElement(f), m).items():
             for i in range(module.rank):
                 rhs[i] = rhs[i] + el2.coords[i] * (L + MU) ** d2 * L ** deg
     return [a - b for a, b in zip(lhs, rhs)]

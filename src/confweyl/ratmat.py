@@ -7,8 +7,9 @@ reduced row echelon form (RREF) over Q, which ``_exact_rref`` computes by
 one incremental Gauss–Jordan elimination over the integers, fraction-free
 in the manner of Bareiss (Math. Comp. 1968):
 
-1. Each row is scaled to integers by the lcm of its denominators, and the
-   rows are taken sparsest first, which keeps fill-in low.
+1. Each row is scaled to integers by the lcm of its denominators (a row
+   of ``int``s is kept), and the rows are taken sparsest first, which
+   keeps fill-in low.
 2. The basis maps each lead to (row, L): L > 0 is the lead value and row
    the integer row without its lead.  Every basis row is zero at every
    other lead, and primitive together with its L.
@@ -135,7 +136,10 @@ def _exact_rref(rows):
 
 
 def _scale_to_integers(row):
-    """Scale a sparse row in place by the lcm of its denominators."""
+    """Scale a sparse row in place by the lcm of its denominators; a row of
+    ``int``s, as ∇'s rows arrive, is left as it is."""
+    if all(type(v) is int for v in row.values()):
+        return
     den = lcm(*(v.denominator for v in row.values()))
     for j, v in row.items():
         row[j] = v.numerator * (den // v.denominator)

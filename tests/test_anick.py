@@ -313,6 +313,26 @@ def test_clear_caches_drops_every_table():
     assert not _f_memo and not _delta_cache
 
 
+_table_chains = st.integers(1, 5).flatmap(
+    lambda degree: st.sampled_from(enumerate_chains(degree, 9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains=st.lists(_table_chains, min_size=1, max_size=8))
+def test_delta_table_shares_equal_coefficients(chains):
+    # the δ table holds _closed_delta_terms' values in its key order, and
+    # equal coefficients, of one chain or of different chains, are one dict
+    shared = {}
+    for chain in chains:
+        got = anick._cached_delta_terms(chain)
+        want = anick._closed_delta_terms(chain)
+        assert [(t, list(terms.items())) for t, terms in got.items()] \
+            == [(t, list(terms.items())) for t, terms in want.items()], chain
+        assert anick._cached_delta_terms(chain) is got
+        for terms in got.values():
+            assert shared.setdefault(frozenset(terms.items()), terms) is terms
+
+
 def test_critical_cells_are_exactly_chain_cells():
     for cell in _sample_cells(3, 4, 3):
         assert (matched_edge(cell) is None) == cell_is_chain(cell)

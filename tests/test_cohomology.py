@@ -1,10 +1,11 @@
 from fractions import Fraction
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confweyl import ratmat
+from confweyl import coeffalg, ratmat
 from confweyl.anick import enumerate_chains
 from confweyl.checks import (
     check_nabla_squared,
@@ -350,19 +351,57 @@ _d_polys = st.dictionaries(st.integers(0, 3).map(lambda e: (e, 0, 0, 0)), _ratio
 @settings(max_examples=60, deadline=None)
 @given(module=_modules, x=_lambda_elements, data=st.data())
 def test_action_memo_matches_a_fresh_action(module, x, data):
+    # Δ hands ``_act`` δ's raw terms; the memo is keyed by their frozen items
     m = ModuleElement(tuple(data.draw(_d_polys) for _ in range(module.rank)))
     want = module.act_algebra(x, m)
-    assert _act(module, x, m) == want
-    assert module.action_memo[(x, m)] == want
-    assert _act(module, x, m) == want  # read back from the memo
+    key = (frozenset(x.terms.items()), m)
+    assert _act(module, x.terms, m) == want
+    assert module.action_memo[key] == want
+    assert _act(module, dict(x.terms), m) == want  # read back from the memo
     # a second instance of the same module starts with its own empty memo
     twin = make_module(module.spec)
     assert twin is not module and not twin.action_memo
-    module.action_memo[(x, m)] = want + module.element(*([1] * module.rank))
-    assert _act(module, x, m) != want
-    assert _act(twin, x, m) == want
+    module.action_memo[key] = want + module.element(*([1] * module.rank))
+    assert _act(module, x.terms, m) != want
+    assert _act(twin, x.terms, m) == want
     assert len(twin.action_memo) == 1
-    del module.action_memo[(x, m)]
+    del module.action_memo[key]
+
+
+def test_assembly_wraps_each_distinct_delta_coefficient_at_most_once(monkeypatch):
+    # the sweep reads δ's raw terms and wraps a coefficient as an
+    # AlgebraElement only on an action-memo miss: once per distinct
+    # coefficient, not once per δ target
+    from confweyl.anick import _closed_delta_terms, clear_caches
+
+    degree, window = 2, Window(7, 0)
+    module = make_module("ext(alpha=0,beta=1,gamma=1)")  # rank 2: two actions per coefficient
+    chains = enumerate_chains(degree + 1, window.W)
+    targets = [terms for x in chains for terms in _closed_delta_terms(x).values()]
+    distinct = {frozenset(terms.items()) for terms in targets}
+    # an AlgebraElement is made by its constructor or, with no copy, by
+    # coeffalg._element, which anick (and any other module) binds by name
+    made = []
+    element, init = coeffalg._element, AlgebraElement.__init__
+
+    def counting_element(terms):
+        made.append(terms)
+        return element(terms)
+
+    def counting_init(self, terms=None):
+        made.append(terms)
+        init(self, terms)
+
+    clear_caches()  # every δ is built by this one assembly
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("confweyl") and getattr(mod, "_element", None) is element:
+            monkeypatch.setattr(mod, "_element", counting_element)
+    monkeypatch.setattr(AlgebraElement, "__init__", counting_init)
+    matrix = assemble_matrix(degree, module, window)
+    monkeypatch.undo()
+    assert len(targets) > len(distinct)
+    assert 0 < len(made) <= len(distinct)
+    assert matrix.columns == _column_oracle(degree, module, window)
 
 
 def test_sweep_coefficients_reject_other_variables():
