@@ -46,6 +46,7 @@ from .cohomology import (
     Cochain,
     ScalarCochain,
     Window,
+    WindowComplex,
     assemble_matrix,
     cohomology_dim,
     d_map,

@@ -201,6 +201,16 @@ def _json_safe(value):
     return str(value)
 
 
+def _natural(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="confweyl",
@@ -237,10 +247,11 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a named property suite")
     p.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
-    p.add_argument("--max-degree", type=int, dest="max_degree")
-    p.add_argument("--max-sum", type=int, dest="max_sum")
-    p.add_argument("--count", type=int)
-    p.add_argument("--window", type=int)
+    # a negative bound leaves a suite nothing to check, which would read as a pass
+    p.add_argument("--max-degree", type=_natural, dest="max_degree")
+    p.add_argument("--max-sum", type=_natural, dest="max_sum")
+    p.add_argument("--count", type=_natural)
+    p.add_argument("--window", type=_natural)
     p.add_argument("--module")
     common(p)
     p.set_defaults(fn=cmd_check)

@@ -8,9 +8,12 @@ untruncated complex would on every retained coordinate.  The only window
 artifact sits near the top: kernels may contain vectors whose defining
 relations lie above W.  Dimension reports therefore project kernel and
 image onto an inner window (sum ≤ W - margin) and re-run at W-1 to check
-the projected dimension has stabilized.  For the same reason ∇ at W-1 is
-exactly the sum ≤ W-1 corner of ∇ at W, so the re-run restricts the
-matrices already assembled instead of assembling again.
+the projected dimension has stabilized.
+
+A ``WindowComplex`` holds one module's complex at one window and
+assembles each ∇ᵈ once; the report, the theorem constructions and ∇∘∇
+read those matrices.  For the same reason as above ∇ at W-1 is the sum
+≤ W-1 corner of ∇ at W, so ``restrict`` gives the re-run's complex.
 
 The derivation twist D has one engine path, its decrement rule
 (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``d_map``); the Morse route it comes
@@ -240,33 +243,6 @@ def coordinate_labels(degree, module, window):
     return labels
 
 
-class ReducedMatrix(RationalMatrix):
-    """∇ⁿ matrix with (chain, coord) labels on both sides."""
-
-    def __init__(self, degree, module, window, columns, row_labels, col_labels):
-        super().__init__(len(row_labels), len(col_labels), columns, row_labels, col_labels)
-        self.degree = degree
-        self.module = module
-        self.window = window
-        self.col_index = {lab: j for j, lab in enumerate(col_labels)}
-
-    def restrict(self, window):
-        """∇ at a smaller window: the rows and columns with sum ≤ window.W.
-
-        Neither δ nor the reduction raises the index sum, so this equals
-        ``assemble_matrix`` at that window.  Labels run in (sum, lex) order,
-        so the kept labels are a prefix on both sides.
-        """
-        if window.W > self.window.W:
-            raise ValueError("can only restrict to a window no larger than W")
-        nrows = sum(1 for chain, _ in self.row_labels if sum(chain) <= window.W)
-        ncols = sum(1 for chain, _ in self.col_labels if sum(chain) <= window.W)
-        columns = [{i: v for i, v in col.items() if i < nrows}
-                   for col in self.columns[:ncols]]
-        return ReducedMatrix(self.degree, self.module, window, columns,
-                             self.row_labels[:nrows], self.col_labels[:ncols])
-
-
 def _coefficients(f):
     """A ∂-polynomial as its ∂-coefficient list: index = power of ∂.
 
@@ -315,10 +291,9 @@ def assemble_matrix(degree, module, window):
     module = make_module(module)
     rank = module.rank
     col_labels = coordinate_labels(degree, module, window)
-    # made on the empty columns the sweep fills, so its column index is built once
-    matrix = ReducedMatrix(degree, module, window, [{} for _ in col_labels],
-                           coordinate_labels(degree + 1, module, window), col_labels)
-    columns, col_index = matrix.columns, matrix.col_index
+    row_labels = coordinate_labels(degree + 1, module, window)
+    col_index = {lab: j for j, lab in enumerate(col_labels)}
+    columns = [{} for _ in col_labels]
     basis = module.basis()
     zero = [[]] * rank
     action = {}  # δ coefficient's frozen items -> its coefficient arrays on each eⱼ
@@ -353,16 +328,136 @@ def assemble_matrix(degree, module, window):
                 quotients[col] = quot
         if quotients:
             carried[x] = quotients
-    return matrix
+    return RationalMatrix(len(row_labels), len(col_labels), columns, row_labels, col_labels)
 
 
-def _projected_dims(a_n, a_prev, inner):
-    kernel = a_n.nullspace()
-    col_keep = [sum(chain) <= inner for (chain, _) in a_n.col_labels]
-    dim_ker = rank_of_vectors(kernel, lambda j: col_keep[j])
-    row_keep = [sum(chain) <= inner for (chain, _) in a_prev.row_labels]
-    dim_im = a_prev.rank(lambda i: row_keep[i])
-    return dim_ker, dim_im
+class WindowComplex:
+    """The window complex of one module: ∇ᵈ for every degree d at sum ≤ W.
+
+    Each ∇ᵈ is assembled once, on first use, by ``assemble_matrix``; a
+    complex made by ``restrict`` reads corners of its parent's instead.  No
+    kernel is kept, so a complex holds its matrices and nothing else.
+    """
+
+    def __init__(self, module, window):
+        self.module = make_module(module)
+        self.window = window
+        self._nabla = {}  # degree -> ∇ᵈ
+        self._parent = None  # the complex this one is a restriction of
+
+    def nabla(self, degree):
+        """∇ᵈ, with (chain, coordinate) labels on both sides."""
+        got = self._nabla.get(degree)
+        if got is None:
+            if self._parent is None:
+                got = assemble_matrix(degree, self.module, self.window)
+            else:
+                # labels run in (sum, lex) order, so the rows and columns
+                # with sum ≤ W are a prefix on both sides
+                whole, W = self._parent.nabla(degree), self.window.W
+                nrows = sum(1 for chain, _ in whole.row_labels if sum(chain) <= W)
+                ncols = sum(1 for chain, _ in whole.col_labels if sum(chain) <= W)
+                columns = [{i: v for i, v in col.items() if i < nrows}
+                           for col in whole.columns[:ncols]]
+                got = RationalMatrix(nrows, ncols, columns,
+                                     whole.row_labels[:nrows], whole.col_labels[:ncols])
+            self._nabla[degree] = got
+        return got
+
+    def index(self, degree):
+        """(chain, coordinate) → position in degree d: ∇ᵈ's columns, ∇ᵈ⁻¹'s rows."""
+        return {lab: j for j, lab in enumerate(self.nabla(degree).col_labels)}
+
+    def restrict(self, window):
+        """The complex at a smaller window, read off this one.
+
+        Neither δ nor the reduction raises the index sum, so the sum ≤ W′
+        corner of ∇ᵈ at W equals ∇ᵈ assembled at W′.
+        """
+        if window.W > self.window.W:
+            raise ValueError("can only restrict to a window no larger than W")
+        smaller = WindowComplex(self.module, window)
+        smaller._parent = self
+        return smaller
+
+    def projected_dims(self, n):
+        """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) on the inner window."""
+        inner = self.window.inner
+        a_n, a_prev = self.nabla(n), self.nabla(n - 1)
+        kernel = a_n.nullspace()
+        col_keep = [sum(chain) <= inner for (chain, _) in a_n.col_labels]
+        row_keep = [sum(chain) <= inner for (chain, _) in a_prev.row_labels]
+        return (rank_of_vectors(kernel, lambda j: col_keep[j]),
+                a_prev.rank(lambda i: row_keep[i]))
+
+    def report(self, n):
+        """The H^n dimension report of ``cohomology_dim``."""
+        window = self.window
+        if n < 1:
+            raise ValueError("cohomology degree must be >= 1")
+        if window.W - 1 < window.margin:
+            raise ValueError("window too small for the stability re-run at W-1")
+        dim_ker, dim_im = self.projected_dims(n)
+        dim_h = dim_ker - dim_im
+        dim_ker2, dim_im2 = self.restrict(window.shrink()).projected_dims(n)
+        stable = (dim_ker2 - dim_im2) == dim_h
+        # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
+        counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
+        return {
+            "degree": n,
+            "module": self.module.spec,
+            "W": window.W,
+            "margin": window.margin,
+            "dim_ker_proj": dim_ker,
+            "dim_im_proj": dim_im,
+            "dim_H": dim_h,
+            "stable": stable,
+            "chain_counts": counts,
+        }
+
+    def constructions(self, n):
+        """The (ok, failures) verdict of ``verify_theorem_constructions``.
+
+        Everything stays in ∇'s coordinates: the module has rank 1, so s is
+        a column vector of ∇ⁿ indexed by degree-n chains, which are the rows
+        of ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
+        """
+        params = self.module.params
+        if self.module.rank != 1 or params.get("delta") != 1:
+            raise ValueError("theorem constructions apply to the rank-1 modules M(alpha,1)")
+        alpha = params["alpha"]
+        if n < 2:
+            raise ValueError("constructions start at degree 2")
+        a_n, a_prev = self.nabla(n), self.nabla(n - 1)
+        rows, cols = self.index(n), self.index(n - 1)
+        # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
+        chains = enumerate_chains(n - 1, self.window.W)
+        sign = (-1) ** (n + 1)
+
+        def read(vec, chain):
+            return vec.get(rows.get((chain, 0)), 0)  # 0 above the window
+
+        failures = []
+        for s in a_n.nullspace():
+            if alpha != 0:
+                # φ₁[t] = (-1)^{n+1} s_{(t,0)} / α
+                phi = {cols[(t, 0)]: sign * read(s, t + (0,)) / alpha for t in chains if t[-1]}
+            else:
+                # φ₁[(…,0)] = (-1)^{n+1} s_{(…,1,0)}, then φ₁[t] = (-1)^n r_{(t,1)}
+                # for t ending in ≥ 1, with r = s - ∇ⁿ⁻¹ of the first step
+                phi = {cols[(t, 0)]: sign * read(s, t[:-1] + (1, 0))
+                       for t in chains if not t[-1]}
+                r = dict(s)
+                for i, val in a_prev.matvec(phi).items():
+                    r[i] = r.get(i, 0) - val
+                for t in chains:
+                    if t[-1]:
+                        phi[cols[(t, 0)]] = -sign * read(r, t + (1,))
+            mismatch = _first_mismatch(a_prev.matvec(phi), s, a_prev.row_labels,
+                                       self.window.inner)
+            if mismatch is not None:
+                failures.append(mismatch)
+        return (not failures), failures
 
 
 def cohomology_dim(n, module, window):
@@ -373,41 +468,7 @@ def cohomology_dim(n, module, window):
     W-1 matrices are the sum ≤ W-1 corners of the ones at W, so ∇ⁿ and
     ∇ⁿ⁻¹ are each assembled once.
     """
-    if n < 1:
-        raise ValueError("cohomology degree must be >= 1")
-    if window.W - 1 < window.margin:
-        raise ValueError("window too small for the stability re-run at W-1")
-    module = make_module(module)
-    a_n = assemble_matrix(n, module, window)
-    a_prev = assemble_matrix(n - 1, module, window)
-    dim_ker, dim_im = _projected_dims(a_n, a_prev, window.inner)
-    dim_h = dim_ker - dim_im
-    smaller = window.shrink()
-    dim_ker2, dim_im2 = _projected_dims(a_n.restrict(smaller), a_prev.restrict(smaller),
-                                        smaller.inner)
-    stable = (dim_ker2 - dim_im2) == dim_h
-    # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
-    counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
-    return {
-        "degree": n,
-        "module": module.spec,
-        "W": window.W,
-        "margin": window.margin,
-        "dim_ker_proj": dim_ker,
-        "dim_im_proj": dim_im,
-        "dim_H": dim_h,
-        "stable": stable,
-        "chain_counts": counts,
-    }
-
-
-# -- explicit coboundary constructions ---------------------------------------------
-
-def _require_weight_one(module):
-    params = module.params
-    if module.rank != 1 or params.get("delta") != 1:
-        raise ValueError("theorem constructions apply to the rank-1 modules M(alpha,1)")
-    return params["alpha"]
+    return WindowComplex(module, window).report(n)
 
 
 def verify_theorem_constructions(module, n, window):
@@ -419,45 +480,8 @@ def verify_theorem_constructions(module, n, window):
     chains ending in (1,0) and in 1 — and asserts ∇ⁿ⁻¹φ₁ matches s on the
     inner window.  Returns (ok, failures); each failure names the first
     chain where the construction misses.
-
-    Everything stays in ∇'s coordinates: the module has rank 1, so s is a
-    column vector of ∇ⁿ indexed by degree-n chains, which are the rows of
-    ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
     """
-    module = make_module(module)
-    alpha = _require_weight_one(module)
-    if n < 2:
-        raise ValueError("constructions start at degree 2")
-    a_n = assemble_matrix(n, module, window)
-    a_prev = assemble_matrix(n - 1, module, window)
-    # the rows of ∇ⁿ⁻¹ are the columns of ∇ⁿ
-    rows, cols = a_n.col_index, a_prev.col_index
-    # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
-    chains = enumerate_chains(n - 1, window.W)
-    sign = (-1) ** (n + 1)
-
-    def read(vec, chain):
-        return vec.get(rows.get((chain, 0)), 0)  # 0 above the window
-
-    failures = []
-    for s in a_n.nullspace():
-        if alpha != 0:
-            # φ₁[t] = (-1)^{n+1} s_{(t,0)} / α
-            phi = {cols[(t, 0)]: sign * read(s, t + (0,)) / alpha for t in chains if t[-1]}
-        else:
-            # φ₁[(…,0)] = (-1)^{n+1} s_{(…,1,0)}, then φ₁[t] = (-1)^n r_{(t,1)}
-            # for t ending in ≥ 1, with r = s - ∇ⁿ⁻¹ of the first step
-            phi = {cols[(t, 0)]: sign * read(s, t[:-1] + (1, 0)) for t in chains if not t[-1]}
-            r = dict(s)
-            for i, val in a_prev.matvec(phi).items():
-                r[i] = r.get(i, 0) - val
-            for t in chains:
-                if t[-1]:
-                    phi[cols[(t, 0)]] = -sign * read(r, t + (1,))
-        mismatch = _first_mismatch(a_prev.matvec(phi), s, a_prev.row_labels, window.inner)
-        if mismatch is not None:
-            failures.append(mismatch)
-    return (not failures), failures
+    return WindowComplex(module, window).constructions(n)
 
 
 def _first_mismatch(got, want, labels, inner):

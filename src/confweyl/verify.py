@@ -1,7 +1,8 @@
 """Acceptance criteria: one callable per criterion, plus a driver.
 
 Each criterion function returns a dict {id, description, passed, seconds,
-detail}.  The closed differential and reduced-matrix formulas used as
+detail}; ``_criterion`` gives it its id, description and time budget, and
+times it.  The closed differential and reduced-matrix formulas used as
 oracles here are coded directly from their displayed forms, independent of
 the engine paths they certify.
 """
@@ -9,6 +10,7 @@ the engine paths they certify.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 import time
 
 from .anick import anick_delta_closed, enumerate_chains
@@ -28,20 +30,14 @@ from .coeffalg import AlgebraElement, _exact, normal_form
 from .cohomology import (
     Cochain,
     Window,
+    WindowComplex,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
     d_map,
-    verify_theorem_constructions,
 )
-from .modules import ModuleValidationError, check_locality_compat, make_module, module_m
+from .modules import ModuleValidationError, check_locality_compat, module_m
 from .poly import D
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - t0
 
 
 # -- independently coded reference formulas ----------------------------------------------
@@ -154,212 +150,182 @@ def nabla_general_reference_matrix(alpha, degree, window):
 
 # -- criteria ---------------------------------------------------------------------------
 
+def _criterion(cid, description, budget=None):
+    """Make ``check``, which returns (passed, detail), criterion ``cid``: timed,
+    and failed when it takes ``budget`` seconds or more, if a budget is set."""
+    def make(check):
+        @wraps(check)
+        def criterion():
+            t0 = time.perf_counter()
+            passed, detail = check()
+            seconds = time.perf_counter() - t0
+            out = {"id": cid, "description": description, "passed": bool(passed),
+                   "seconds": round(seconds, 2), "detail": detail}
+            if budget is not None:
+                out["budget_seconds"] = budget
+                out["within_budget"] = seconds < budget
+                out["passed"] = out["passed"] and seconds < budget
+            return out
+        criterion.id = cid
+        return criterion
+    return make
+
+
+@_criterion(1, "GSB worked value and 1000-word confluence fuzz", 5)
 def criterion_1():
-    def run():
-        want = (AlgebraElement.word(2, 6) + AlgebraElement.word(1, 5).scale(7)
-                + AlgebraElement.word(0, 4).scale(8))
-        got = normal_form("v(2)v(3)v(1)")
-        if got != want:
-            return False, {"got": str(got)}
-        res = check_confluence(count=1000)
-        return res["passed"], res["details"]
-    passed, detail, secs = _timed(run)
-    return _result(1, "GSB worked value and 1000-word confluence fuzz", passed, detail, secs, 5)
+    want = (AlgebraElement.word(2, 6) + AlgebraElement.word(1, 5).scale(7)
+            + AlgebraElement.word(0, 4).scale(8))
+    got = normal_form("v(2)v(3)v(1)")
+    if got != want:
+        return False, {"got": str(got)}
+    res = check_confluence(count=1000)
+    return res["passed"], res["details"]
 
 
+@_criterion(2, "closed δ₂/δ₃ reference forms and morse = closed (sum ≤ 8)", 30)
 def criterion_2():
-    def run():
-        for n in range(1, 9):
-            for m in range(0, 9 - n):
-                if anick_delta_closed((n, m)) != delta2_reference(n, m):
-                    return False, {"chain": (n, m), "side": "closed-vs-display"}
-        count3 = 0
-        for chain in enumerate_chains(3, 8):
-            count3 += 1
-            if anick_delta_closed(chain) != delta3_reference(*chain):
-                return False, {"chain": chain, "side": "closed-vs-display"}
-        res = check_morse_closed(max_degree=4, max_sum=8)
-        return res["passed"], {"degree3_chains": count3, **res["details"]}
-    passed, detail, secs = _timed(run)
-    return _result(2, "closed δ₂/δ₃ reference forms and morse = closed (sum ≤ 8)", passed, detail, secs, 30)
+    for n in range(1, 9):
+        for m in range(0, 9 - n):
+            if anick_delta_closed((n, m)) != delta2_reference(n, m):
+                return False, {"chain": (n, m), "side": "closed-vs-display"}
+    chains3 = enumerate_chains(3, 8)
+    for chain in chains3:
+        if anick_delta_closed(chain) != delta3_reference(*chain):
+            return False, {"chain": chain, "side": "closed-vs-display"}
+    res = check_morse_closed(max_degree=4, max_sum=8)
+    return res["passed"], {"degree3_chains": len(chains3), **res["details"]}
 
 
+@_criterion(3, "δ∘δ = 0 (deg ≤ 5, sum ≤ 10) and f∘d∘g = δ (deg ≤ 4, sum ≤ 8)", 60)
 def criterion_3():
-    def run():
-        res = check_delta_squared(max_degree=5, max_sum=10)
-        if not res["passed"]:
-            return False, res["details"]
-        res2 = check_fdg(max_degree=4, max_sum=8)
-        return res2["passed"], res2["details"]
-    passed, detail, secs = _timed(run)
-    return _result(3, "δ∘δ = 0 (deg ≤ 5, sum ≤ 10) and f∘d∘g = δ (deg ≤ 4, sum ≤ 8)",
-                   passed, detail, secs, 60)
+    res = check_delta_squared(max_degree=5, max_sum=10)
+    if not res["passed"]:
+        return False, res["details"]
+    res2 = check_fdg(max_degree=4, max_sum=8)
+    return res2["passed"], res2["details"]
 
 
 # (degree, W) windows on which D's terms are held to the decrement rule
 _TWIST_WINDOWS = ((1, 10), (2, 10), (3, 10), (4, 10), (5, 9))
 
 
+@_criterion(4, "derivation twist D = decrement rule on every chain (deg ≤ 4 at W=10, "
+               "deg 5 at W=9) and (D³ψ)[2|1|1] = ∂ψ(2,1,1) + 2ψ(1,1,1) + ψ(2,1,0)")
 def criterion_4():
-    def run():
-        # operator identity: the Morse-route terms of D at every chain equal the decrement rule
-        checked = 0
-        for degree, w in _TWIST_WINDOWS:
-            for chain in enumerate_chains(degree, w):
-                checked += 1
-                if oracle_twist_terms(chain) != twist_reference(chain):
-                    return False, {"chain": chain, "side": "operator-vs-decrement-rule"}
-        mod = module_m(7, 1)  # any weight-one module; D is module-independent here
-        window = Window(8, 0)
-        target = (2, 1, 1)
-        # symbolic check: evaluate D³ on every delta-function cochain
-        for chain in enumerate_chains(3, 8):
-            for k in range(0, 3):
-                phi = Cochain(3, mod, {chain: mod.element(D ** k)})
-                got = d_map(phi, window).value(target)
-                want = mod.zero()
-                if chain == target:
-                    want = want + mod.element(D ** (k + 1))
-                if chain == (1, 1, 1):
-                    want = want + mod.element(D ** k).scale(2)
-                if chain == (2, 1, 0):
-                    want = want + mod.element(D ** k)
-                if got != want:
-                    return False, {"chain": chain, "k": k, "got": str(got)}
-        return True, {"operator_chains": checked,
-                      "basis_cochains": 3 * len(enumerate_chains(3, 8))}
-    passed, detail, secs = _timed(run)
-    return _result(4, "derivation twist D = decrement rule on every chain (deg ≤ 4 at W=10, "
-                      "deg 5 at W=9) and (D³ψ)[2|1|1] = ∂ψ(2,1,1) + 2ψ(1,1,1) + ψ(2,1,0)",
-                   passed, detail, secs, None)
+    # operator identity: the Morse-route terms of D at every chain equal the decrement rule
+    checked = 0
+    for degree, w in _TWIST_WINDOWS:
+        for chain in enumerate_chains(degree, w):
+            checked += 1
+            if oracle_twist_terms(chain) != twist_reference(chain):
+                return False, {"chain": chain, "side": "operator-vs-decrement-rule"}
+    mod = module_m(7, 1)  # any weight-one module; D is module-independent here
+    window = Window(8, 0)
+    target = (2, 1, 1)
+    # symbolic check: evaluate D³ on every delta-function cochain
+    for chain in enumerate_chains(3, 8):
+        for k in range(0, 3):
+            phi = Cochain(3, mod, {chain: mod.element(D ** k)})
+            got = d_map(phi, window).value(target)
+            want = mod.zero()
+            if chain == target:
+                want = want + mod.element(D ** (k + 1))
+            if chain == (1, 1, 1):
+                want = want + mod.element(D ** k).scale(2)
+            if chain == (2, 1, 0):
+                want = want + mod.element(D ** k)
+            if got != want:
+                return False, {"chain": chain, "k": k, "got": str(got)}
+    return True, {"operator_chains": checked,
+                  "basis_cochains": 3 * len(enumerate_chains(3, 8))}
 
 
+@_criterion(5, "locality criterion Δ ∈ {0,1} and M(α,2) rejection")
 def criterion_5():
-    def run():
-        alphas = (Fraction(0), Fraction(1), Fraction(-1, 2))
-        for alpha in alphas:
-            for delta in range(-2, 4):
-                want = delta in (0, 1)
-                if check_locality_compat(alpha, delta) != want:
-                    return False, {"alpha": str(alpha), "delta": delta}
-        try:
-            module_m(0, 2)
-            return False, {"error": "M(alpha,2) was accepted"}
-        except ModuleValidationError:
-            pass
-        return True, {"alphas": [str(a) for a in alphas], "deltas": list(range(-2, 4))}
-    passed, detail, secs = _timed(run)
-    return _result(5, "locality criterion Δ ∈ {0,1} and M(α,2) rejection", passed, detail, secs, None)
+    alphas = (Fraction(0), Fraction(1), Fraction(-1, 2))
+    for alpha in alphas:
+        for delta in range(-2, 4):
+            want = delta in (0, 1)
+            if check_locality_compat(alpha, delta) != want:
+                return False, {"alpha": str(alpha), "delta": delta}
+    try:
+        module_m(0, 2)
+        return False, {"error": "M(alpha,2) was accepted"}
+    except ModuleValidationError:
+        pass
+    return True, {"alphas": [str(a) for a in alphas], "deltas": list(range(-2, 4))}
 
 
+@_criterion(6, "assembled ∇¹/∇² equal the reference closed forms (α ∈ {0,1}, W=10)")
 def criterion_6():
-    def run():
-        window = Window(10, 3)
-        for alpha in (Fraction(0), Fraction(1)):
-            mod = module_m(alpha, 1)
-            a1 = assemble_matrix(1, mod, window)
-            if a1.columns != nabla1_reference_matrix(alpha, window):
-                return False, {"alpha": str(alpha), "matrix": "nabla1"}
-            a2 = assemble_matrix(2, mod, window)
-            if a2.columns != nabla2_reference_matrix(alpha, window):
-                return False, {"alpha": str(alpha), "matrix": "nabla2"}
-        return True, {"W": 10}
-    passed, detail, secs = _timed(run)
-    return _result(6, "assembled ∇¹/∇² equal the reference closed forms (α ∈ {0,1}, W=10)",
-                   passed, detail, secs, None)
+    window = Window(10, 3)
+    for alpha in (Fraction(0), Fraction(1)):
+        mod = module_m(alpha, 1)
+        for degree, reference in ((1, nabla1_reference_matrix), (2, nabla2_reference_matrix)):
+            if assemble_matrix(degree, mod, window).columns != reference(alpha, window):
+                return False, {"alpha": str(alpha), "matrix": f"nabla{degree}"}
+    return True, {"W": 10}
 
 
+@_criterion(7, "H¹(M(α,1)): dim 1 for α=0, dim 0 for α ∈ {1,-2,1/2} (W=12)", 240)
 def criterion_7():
-    def run():
-        window = Window(12, 3)
-        cases = [(Fraction(0), 1), (Fraction(1), 0), (Fraction(-2), 0), (Fraction(1, 2), 0)]
-        reports = []
-        for alpha, want in cases:
-            rep = cohomology_dim(1, module_m(alpha, 1), window)
-            reports.append({"alpha": str(alpha), "dim_H": rep["dim_H"], "stable": rep["stable"]})
-            if rep["dim_H"] != want or not rep["stable"]:
-                return False, {"case": reports[-1], "want": want}
-        return True, {"reports": reports}
-    passed, detail, secs = _timed(run)
-    return _result(7, "H¹(M(α,1)): dim 1 for α=0, dim 0 for α ∈ {1,-2,1/2} (W=12)",
-                   passed, detail, secs, 240)
+    window = Window(12, 3)
+    cases = [(Fraction(0), 1), (Fraction(1), 0), (Fraction(-2), 0), (Fraction(1, 2), 0)]
+    reports = []
+    for alpha, want in cases:
+        rep = cohomology_dim(1, module_m(alpha, 1), window)
+        reports.append({"alpha": str(alpha), "dim_H": rep["dim_H"], "stable": rep["stable"]})
+        if rep["dim_H"] != want or not rep["stable"]:
+            return False, {"case": reports[-1], "want": want}
+    return True, {"reports": reports}
 
 
+@_criterion(8, "Hⁿ(M(α,1)) = 0 for n=2,3,4 plus explicit constructions (α ∈ {0,1})", 300)
 def criterion_8():
-    def run():
-        settings = [(2, 10), (3, 10), (4, 9)]
-        reports = []
-        for n, w in settings:
-            for alpha in (Fraction(0), Fraction(1)):
-                mod = module_m(alpha, 1)
-                window = Window(w, 3)
-                rep = cohomology_dim(n, mod, window)
-                ok, failures = verify_theorem_constructions(mod, n, window)
+    reports = []
+    for w, degrees in ((10, (2, 3)), (9, (4,))):
+        # one complex per (α, W): the report and the constructions read the
+        # same ∇ⁿ and ∇ⁿ⁻¹, and n = 2 and 3 share ∇² at W = 10
+        complexes = [(alpha, WindowComplex(module_m(alpha, 1), Window(w, 3)))
+                     for alpha in (Fraction(0), Fraction(1))]
+        for n in degrees:
+            for alpha, cx in complexes:
+                rep = cx.report(n)
+                ok, failures = cx.constructions(n)
                 reports.append({"n": n, "alpha": str(alpha), "dim_H": rep["dim_H"],
                                 "stable": rep["stable"], "constructions": ok})
                 if rep["dim_H"] != 0 or not rep["stable"] or not ok:
                     return False, {"case": reports[-1], "failures": failures[:2]}
-        return True, {"reports": reports}
-    passed, detail, secs = _timed(run)
-    return _result(8, "Hⁿ(M(α,1)) = 0 for n=2,3,4 plus explicit constructions (α ∈ {0,1})",
-                   passed, detail, secs, 300)
+    return True, {"reports": reports}
 
 
+@_criterion(9, "Hⁿ = 0 for the M(α,0)-route instances M(0,0) and ext(0,1,1) (n=2,3)", 300)
 def criterion_9():
-    def run():
-        window = Window(10, 3)
-        reports = []
-        for spec in ("M(alpha=0,delta=0)", "ext(alpha=0,beta=1,gamma=1)"):
-            mod = make_module(spec)
-            for n in (2, 3):
-                rep = cohomology_dim(n, mod, window)
-                reports.append({"module": spec, "n": n, "dim_H": rep["dim_H"],
-                                "stable": rep["stable"]})
-                if rep["dim_H"] != 0 or not rep["stable"]:
-                    return False, {"case": reports[-1]}
-        return True, {"reports": reports}
-    passed, detail, secs = _timed(run)
-    return _result(9, "Hⁿ = 0 for the M(α,0)-route instances M(0,0) and ext(0,1,1) (n=2,3)",
-                   passed, detail, secs, 300)
+    window = Window(10, 3)
+    reports = []
+    for spec in ("M(alpha=0,delta=0)", "ext(alpha=0,beta=1,gamma=1)"):
+        cx = WindowComplex(spec, window)
+        for n in (2, 3):
+            rep = cx.report(n)
+            reports.append({"module": spec, "n": n, "dim_H": rep["dim_H"],
+                            "stable": rep["stable"]})
+            if rep["dim_H"] != 0 or not rep["stable"]:
+                return False, {"case": reports[-1]}
+    return True, {"reports": reports}
 
 
+@_criterion(10, "property suites: conformal axioms, module axioms, D∘Δ = Δ∘D, ∇∘∇ = 0", 120)
 def criterion_10():
-    def run():
-        res = check_conformal_axioms()
+    suites = (("conformal-axioms", check_conformal_axioms),
+              ("conformal-associativity", check_conformal_associativity),
+              ("module-axioms", check_module_axioms),
+              ("chain-map", lambda: check_chain_map(max_degree=3, window_sum=8)),
+              ("nabla-squared", lambda: check_nabla_squared(max_degree=4, window_sum=9)))
+    for name, suite in suites:
+        res = suite()
         if not res["passed"]:
-            return False, {"suite": "conformal-axioms", **res["details"]}
-        res = check_conformal_associativity()
-        if not res["passed"]:
-            return False, {"suite": "conformal-associativity", **res["details"]}
-        res = check_module_axioms()
-        if not res["passed"]:
-            return False, {"suite": "module-axioms", **res["details"]}
-        res = check_chain_map(max_degree=3, window_sum=8)
-        if not res["passed"]:
-            return False, {"suite": "chain-map", **res["details"]}
-        res = check_nabla_squared(max_degree=4, window_sum=9)
-        if not res["passed"]:
-            return False, {"suite": "nabla-squared", **res["details"]}
-        return True, {"suites": ["conformal-axioms", "conformal-associativity",
-                                 "module-axioms", "chain-map", "nabla-squared"]}
-    passed, detail, secs = _timed(run)
-    return _result(10, "property suites: conformal axioms, module axioms, D∘Δ = Δ∘D, ∇∘∇ = 0",
-                   passed, detail, secs, 120)
-
-
-def _result(cid, description, passed, detail, seconds, budget):
-    out = {
-        "id": cid,
-        "description": description,
-        "passed": bool(passed),
-        "seconds": round(seconds, 2),
-        "detail": detail,
-    }
-    if budget is not None:
-        out["budget_seconds"] = budget
-        out["within_budget"] = seconds < budget
-        out["passed"] = out["passed"] and seconds < budget
-    return out
+            return False, {"suite": name, **res["details"]}
+    return True, {"suites": [name for name, _ in suites]}
 
 
 CRITERIA = (
@@ -377,10 +343,10 @@ CRITERIA = (
 
 
 def run_all(ids=None):
-    by_id = {int(fn.__name__.rsplit("_", 1)[1]): fn for fn in CRITERIA}
-    unknown = sorted(set(ids or ()) - set(by_id))
+    valid = {fn.id for fn in CRITERIA}
+    unknown = sorted(set(ids or ()) - valid)
     if unknown:
         raise ValueError(f"unknown criterion ids {unknown}; "
-                         f"valid ids are {min(by_id)}-{max(by_id)}")
-    results = [fn() for cid, fn in by_id.items() if not ids or cid in ids]
+                         f"valid ids are {min(valid)}-{max(valid)}")
+    results = [fn() for fn in CRITERIA if not ids or fn.id in ids]
     return {"passed": all(r["passed"] for r in results), "criteria": results}

@@ -175,6 +175,17 @@ def test_invalid_inputs_exit_2(capture):
     assert capture("verify", "--only", "0", "--format", "json")[0] == 2
 
 
+@pytest.mark.parametrize("suite, flag", [("confluence", "--count"),
+                                         ("nabla-squared", "--max-degree"),
+                                         ("delta-squared", "--max-sum"),
+                                         ("chain-map", "--window")])
+def test_check_refuses_a_negative_bound(capture, suite, flag):
+    # a negative bound leaves the suite nothing to check, so no PASS may come of it
+    code, out, err = capture("check", "--suite", suite, flag, "-3")
+    assert code == 2 and out == ""
+    assert flag in err and ">= 0" in err
+
+
 def test_oversized_enumerations_exit_2_at_once(capture):
     # C(201, 12) and C(201, 11) chains: refused before any is built
     code, _, err = capture("chains", "--degree", "12", "--max-sum", "200")

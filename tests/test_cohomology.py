@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confweyl import coeffalg, ratmat
+from confweyl import coeffalg, cohomology, ratmat, verify
 from confweyl.anick import enumerate_chains
 from confweyl.checks import (
     check_nabla_squared,
@@ -16,6 +16,7 @@ from confweyl.cohomology import (
     Cochain,
     ScalarCochain,
     Window,
+    WindowComplex,
     _act,
     _coefficients,
     assemble_matrix,
@@ -211,7 +212,7 @@ def test_assemble_matrix_shape_example():
     a0 = assemble_matrix(0, mod, window)
     assert a0.ncols == 1  # constants
     with pytest.raises(ValueError):
-        a.restrict(Window(4, 0))
+        WindowComplex(mod, window).restrict(Window(4, 0))
 
 
 def test_cohomology_dim_reports():
@@ -228,7 +229,8 @@ def test_kernel_structure_alpha_zero():
     # window kernel of ∇¹ projected inward is spanned by the delta at [0]
     mod = module_m(0, 1)
     window = Window(10, 3)
-    a1 = assemble_matrix(1, mod, window)
+    complex_ = WindowComplex(mod, window)
+    a1 = complex_.nabla(1)
     kernel = a1.nullspace()
     inner = []
     for vec in kernel:
@@ -238,7 +240,7 @@ def test_kernel_structure_alpha_zero():
             inner.append(restricted)
     assert len(inner) == 1
     only = inner[0]
-    idx0 = a1.col_index[((0,), 0)]
+    idx0 = complex_.index(1)[((0,), 0)]
     assert set(only) == {idx0}
 
 
@@ -427,13 +429,52 @@ def test_assemble_matrix_matches_column_oracle(module, degree, W):
 
 
 @settings(max_examples=40, deadline=None)
-@given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7))
-def test_restriction_equals_smaller_window(module, degree, W):
-    restricted = assemble_matrix(degree, module, Window(W, 0)).restrict(Window(W - 1, 0))
-    direct = assemble_matrix(degree, module, Window(W - 1, 0))
-    assert restricted.row_labels == direct.row_labels
-    assert restricted.col_labels == direct.col_labels
-    assert restricted.columns == direct.columns
+@given(module=_modules, degree=st.integers(1, 4), W=st.integers(3, 7),
+       margin=st.integers(0, 3))
+def test_restriction_equals_smaller_window(module, degree, W, margin):
+    # the W-1 complex read off the one at W, against one assembled at W-1
+    smaller = Window(W - 1, min(margin, W - 1))
+    restricted = WindowComplex(module, Window(W, smaller.margin)).restrict(smaller)
+    direct = WindowComplex(module, smaller)
+    for d in (degree - 1, degree):
+        got, want = restricted.nabla(d), direct.nabla(d)
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got.row_labels == want.row_labels
+        assert got.col_labels == want.col_labels
+        assert got.columns == want.columns
+    assert restricted.projected_dims(degree) == direct.projected_dims(degree)
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    assemble = cohomology.assemble_matrix
+
+    def counting(degree, module, window):
+        calls.append(degree)
+        return assemble(degree, module, window)
+
+    monkeypatch.setattr(cohomology, "assemble_matrix", counting)
+    return calls
+
+
+def test_complex_assembles_each_nabla_once(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    complex_ = WindowComplex(module_m(0, 1), Window(9, 3))
+    assert complex_.report(3)["dim_H"] == 0
+    assert complex_.constructions(3) == (True, [])
+    assert sorted(calls) == [2, 3]
+    # the W-1 complex reads these matrices; ∇∘∇ assembles each of ∇⁰…∇⁴ once
+    assert complex_.restrict(Window(8, 3)).nabla(3).ncols == len(enumerate_chains(3, 8))
+    check_nabla_squared(max_degree=3, window_sum=6)
+    assert sorted(calls) == [0, 1, 2, 2, 3, 3, 4]
+
+
+@pytest.mark.parametrize("criterion, assemblies", [(verify.criterion_8, 10),
+                                                   (verify.criterion_9, 6)])
+def test_criteria_share_one_complex_per_window(monkeypatch, criterion, assemblies):
+    calls = _count_assemblies(monkeypatch)
+    assert criterion()["passed"]
+    assert len(calls) == assemblies
 
 
 @settings(max_examples=40, deadline=None)
