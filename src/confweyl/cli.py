@@ -201,14 +201,17 @@ def _json_safe(value):
     return str(value)
 
 
-def _natural(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(least):
+    """An argparse type: an int no smaller than ``least``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -247,11 +250,12 @@ def build_parser():
 
     p = sub.add_parser("check", help="run a named property suite")
     p.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
-    # a negative bound leaves a suite nothing to check, which would read as a pass
-    p.add_argument("--max-degree", type=_natural, dest="max_degree")
-    p.add_argument("--max-sum", type=_natural, dest="max_sum")
-    p.add_argument("--count", type=_natural)
-    p.add_argument("--window", type=_natural)
+    # a negative bound or a zero count leaves a suite nothing to check, which
+    # would read as a pass
+    p.add_argument("--max-degree", type=_at_least(0), dest="max_degree")
+    p.add_argument("--max-sum", type=_at_least(0), dest="max_sum")
+    p.add_argument("--count", type=_at_least(1))
+    p.add_argument("--window", type=_at_least(0))
     p.add_argument("--module")
     common(p)
     p.set_defaults(fn=cmd_check)

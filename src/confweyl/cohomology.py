@@ -23,15 +23,19 @@ b = φ[c] - Σ_k i_k·h[c with i_k decremented] and split b = s[c] + ∂·h[c].
 The resulting s is the unique scalar-valued representative of φ modulo D,
 and the reduced differential ∇ = reduce ∘ Δ ∘ include is canonical.
 ``reduced_delta`` applies it to one cochain; ``assemble_matrix`` builds
-every column of ∇ⁿ in a single sweep over the degree-(n+1) chains,
-carrying the ∂-quotients of all columns at once.  The sweep holds every
-module value as ∂-coefficient arrays, one list per coordinate (index =
-power of ∂), so the split is c = f[0], g = f[1:] and no ``Poly``
-arithmetic runs in it; the ``Poly`` route of ``reduced_delta`` is the
-per-column oracle in the tests.  Both keep ``coeffalg._exact``'s stored
-form, so ``ratmat`` gets integral rows as ints.
-Δ and the sweep read δ's raw terms from ``anick._cached_delta_terms`` and
-wrap a coefficient as an ``AlgebraElement`` only on an action-memo miss.
+every column of ∇ⁿ in one pass over the degree-(n+1) chains with no module
+arithmetic.  Every module acts by v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and
+δ's coefficients hold only 1 and letters v(n), so on the delta-function
+basis the reduction's ∂-quotients are constants read one sum down and
+
+    ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
+
+with S, L, Q the coefficients of 1, v(1), v(0) in δ(x) at y and
+T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y.  The ``Poly`` route of ``reduced_delta``
+is the per-column oracle in the tests.  Both keep ``coeffalg._exact``'s
+stored form, so ``ratmat`` gets integral rows as ints.  Δ and the pass
+read δ's raw terms from ``anick._cached_delta_terms``; Δ wraps a
+coefficient as an ``AlgebraElement`` only on an action-memo miss.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .anick import _cached_delta_terms, enumerate_chains
-from .coeffalg import _element, _exact
+from .coeffalg import UNIT, _element, _exact
 from .modules import ModuleElement, make_module, reduce_element
 from .ratmat import RationalMatrix, rank_of_vectors
 
@@ -243,29 +247,7 @@ def coordinate_labels(degree, module, window):
     return labels
 
 
-def _coefficients(f):
-    """A ∂-polynomial as its ∂-coefficient list: index = power of ∂.
-
-    The coefficients keep ``Poly``'s stored form.  A polynomial carrying
-    λ, μ or v raises ``ValueError``, as ``split_constant`` does.
-    """
-    if not f.uses_only(("d",)):
-        raise ValueError("a module value of the sweep must be a polynomial in ∂ only")
-    out = [0] * (f.degree("d") + 1)
-    for exp, c in f.terms.items():
-        out[exp[0]] = c
-    return out
-
-
-def _minus_multiple(b, i, h):
-    """b − i·h on coefficient arrays, coordinate by coordinate (b is not changed)."""
-    out = []
-    for f, g in zip(b, h):
-        f = f + [0] * (len(g) - len(f))
-        for k, c in enumerate(g):
-            f[k] -= i * c
-        out.append(f)
-    return out
+_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
 
 
 def assemble_matrix(degree, module, window):
@@ -274,60 +256,45 @@ def assemble_matrix(degree, module, window):
     Columns: degree-n chains (sum ≤ W) × module coordinates; rows: the same
     for degree n+1.  Degree 0 has the single empty chain per coordinate.
 
-    All columns come out of one sweep over the rows x in (sum, lex) order.
-    Row x of Δ applied to the basis cochain at (y, j) is δ's coefficient of
-    y in x acting on eⱼ; from it the reduction subtracts i·h[dec x] for
-    each decrement and splits the rest into constants (the ∇ entries at x)
-    and a ∂-quotient h[x] carried to the rows of the next sum — exactly
-    what ``reduced_delta`` computes one column at a time.
+    One pass over the rows x, with no module arithmetic:
 
-    Every module value of the sweep is a list of ∂-coefficient arrays, one
-    per coordinate (``_coefficients``): the action memo converts
-    ``act_algebra`` on every eⱼ once per distinct δ coefficient, subtracting
-    i·h is one coefficient loop, and the split b = c + ∂·g is c = f[0],
-    g = f[1:].  The entries leave the sweep in stored form, an ``int`` when
-    integral.
+        ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
+
+    where S, L and Q are the coefficients of 1, v(1) and v(0) in δ(x) at y
+    and T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over the decrements of x.  This is
+    the canonical reduction of ``reduced_delta``, which stays its
+    per-column oracle: δ's coefficients hold only 1 and letters v(n)
+    (``anick._closed_delta_terms``), and on a constant eⱼ the letters act
+    as v(0)eⱼ = (E∂ + C)eⱼ, v(1)eⱼ = Beⱼ and v(n ≥ 2)eⱼ = 0.  So Δ of the
+    basis cochain at (y, j) is Q·E eⱼ·∂ plus constants at every x, its
+    ∂-quotient h[x] = Q·E eⱼ is a constant, and peeling Σₖ iₖ·h[decₖ x]
+    leaves the constant T·E eⱼ + (S + L·B + Q·C)eⱼ.  The entries keep the
+    stored form, an ``int`` when integral.
     """
     module = make_module(module)
-    rank = module.rank
+    rank, E, B, C = module.rank, module.E, module.B, module.C
     col_labels = coordinate_labels(degree, module, window)
     row_labels = coordinate_labels(degree + 1, module, window)
-    col_index = {lab: j for j, lab in enumerate(col_labels)}
+    first_col = {chain: k * rank for k, chain in enumerate(enumerate_chains(degree, window.W))}
     columns = [{} for _ in col_labels]
-    basis = module.basis()
-    zero = [[]] * rank
-    action = {}  # δ coefficient's frozen items -> its coefficient arrays on each eⱼ
-    # chain -> {column: h}, for the chains at the current sum and the one below;
-    # a decrement lowers the sum by exactly one, so older quotients are never read
-    carried, carried_prev, level = {}, {}, None
     for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
-        if sum(x) != level:
-            carried, carried_prev, level = {}, carried, sum(x)
-        entries = {}
-        for y, terms in _cached_delta_terms(x).items():
-            key = frozenset(terms.items())
-            acts = action.get(key)
-            if acts is None:
-                coeff = _element(terms)
-                acts = action[key] = [
-                    [_coefficients(f) for f in module.act_algebra(coeff, e).coords]
-                    for e in basis]
-            for j, act in enumerate(acts):
-                entries[col_index[(y, j)]] = act
+        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
+                   for y, terms in _cached_delta_terms(x).items()}  # y -> [S, T, L, Q]
         for _, i, dec in _decrements(x):
-            for col, h in carried_prev.get(dec, {}).items():
-                entries[col] = _minus_multiple(entries.get(col, zero), i, h)
-        quotients = {}
+            for y, terms in _cached_delta_terms(dec).items():
+                q = terms.get(_V0)
+                if q:
+                    weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
         base = row * rank
-        for col, b in entries.items():
-            for coord, f in enumerate(b):
-                if f and f[0]:
-                    columns[col][base + coord] = _exact(f[0])
-            quot = [f[1:] for f in b]
-            if any(map(any, quot)):
-                quotients[col] = quot
-        if quotients:
-            carried[x] = quotients
+        for y, (s, t, l, q) in weights.items():
+            for j in range(rank):
+                column = columns[first_col[y] + j]
+                for i in range(rank):
+                    entry = t * E[i][j] + l * B[i][j] + q * C[i][j]
+                    if i == j:
+                        entry += s
+                    if entry:
+                        column[base + i] = _exact(entry)
     return RationalMatrix(len(row_labels), len(col_labels), columns, row_labels, col_labels)
 
 

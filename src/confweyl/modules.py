@@ -1,8 +1,11 @@
 """Finite free conformal modules over U(2) and their Λ-module structure.
 
-A module of rank r is a free k[∂]-module with the λ-action of the
-generator v given by an r×r matrix of polynomials in (∂, λ): column j
-lists the coefficients of v ∘λ eⱼ.  Shipped families:
+A module of rank r is a free k[∂]-module on e₁…e_r with the λ-action of
+the generator v given by three r×r matrices E, B, C:
+
+  v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ.
+
+Shipped families:
 
   M(α,Δ)        rank 1, v ∘λ u = (α + ∂ + Δλ)u   (valid iff Δ ∈ {0,1})
   trivial       rank 1, v ∘λ u = 0
@@ -21,12 +24,11 @@ propagate through sesquilinearity (f(∂) acts shifted: f(∂+λ)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 import re
 
 from .poly import Poly, D, L, M as MU, split_constant
 from .conformal import ConformalElement, lambda_product
-from .coeffalg import UNIT
+from .coeffalg import UNIT, _exact
 
 
 class ModuleValidationError(ValueError):
@@ -92,18 +94,26 @@ class ModuleElement:
 
 
 class FiniteModule:
-    """Free finite-rank conformal U(2)-module given by the v-action matrix."""
+    """Free finite-rank conformal U(2)-module given by its matrices E, B, C.
 
-    def __init__(self, rank, action, spec, params=None):
-        self.rank = rank
-        self.action = tuple(tuple(row) for row in action)  # entry[i][j]: coeff of e_i in v∘λ e_j
+    v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ; the matrices are tuples of rows in
+    stored form (``coeffalg._exact``), and ``action`` is the same map as
+    ∂λ-polynomials, entry[i][j] the coefficient of eᵢ in v ∘λ eⱼ.
+    """
+
+    def __init__(self, E, B, C, spec, params=None):
+        self.E, self.B, self.C = (tuple(tuple(_exact(c) for c in row) for row in mat)
+                                  for mat in (E, B, C))
+        self.rank = len(self.E)
+        if any(len(mat) != self.rank or any(len(row) != self.rank for row in mat)
+               for mat in (self.E, self.B, self.C)):
+            raise ValueError("E, B and C must be square matrices of one size")
+        self.action = tuple(
+            tuple(Poly({(1, 0, 0, 0): e, (0, 0, 1, 0): b, (0, 0, 0, 0): c})
+                  for e, b, c in zip(*rows))
+            for rows in zip(self.E, self.B, self.C))
         self.spec = spec
         self.params = dict(params or {})
-        # the action split by λ once: (i, j, l, [λˡ]entry[i][j]), a ∂-polynomial each
-        self._lambda_split = tuple(
-            (i, j, l, part)
-            for i, row in enumerate(self.action) for j, entry in enumerate(row)
-            for l, part in sorted(entry.coeffs_in("l").items()))
         # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``);
         # owned by the module, so it is freed with it
         self.action_memo = {}
@@ -169,27 +179,28 @@ class FiniteModule:
         """Action of the letter v(n) by Taylor's formula.
 
         v(n)·m is n! times the λⁿ part of v ∘λ m, and v ∘λ (f eⱼ) =
-        Σᵢ aᵢⱼ(∂,λ) f(∂+λ) eᵢ with f(∂+λ) = Σₖ f⁽ᵏ⁾(∂) λᵏ/k!, so
+        Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) f(∂+λ) eᵢ with f(∂+λ) = Σₖ f⁽ᵏ⁾(∂) λᵏ/k!, so
 
-            v(n)·(f eⱼ) = Σᵢ Σₗ n!/(n−l)! · [λˡ]aᵢⱼ(∂) · f⁽ⁿ⁻ˡ⁾(∂) eᵢ.
+            v(n)·F = (E∂ + C)F⁽ⁿ⁾ + n·B·F⁽ⁿ⁻¹⁾
 
-        The action matrix is split by λ once per module; each term costs one
-        derivative and one product of ∂-polynomials, with no shift and no
-        λ-split of the result.  A coordinate of m that carries λ raises
-        ``ValueError``: the λ-split would mix its λ with the action's.
+        (the B term is absent for n = 0): two derivatives of each coordinate
+        and no shift or λ-split.  A coordinate of m that carries λ raises
+        ``ValueError``: the letter acts on ∂-polynomials only.
         """
         if any(f.degree("l") > 0 for f in m.coords):
             raise ValueError("act_vn expects coordinates free of λ")
-        out = [Poly.zero()] * self.rank
-        derivatives = {}  # (j, order) -> f_j⁽ᵒʳᵈᵉʳ⁾
-        for i, j, l, part in self._lambda_split:
-            if l > n or m.coords[j].is_zero():
-                continue
-            df = derivatives.get((j, n - l))
-            if df is None:
-                df = derivatives[(j, n - l)] = m.coords[j].derivative("d", n - l)
-            if not df.is_zero():
-                out[i] = out[i] + part * df * (factorial(n) // factorial(n - l))
+        lower = [f.derivative("d", n - 1) for f in m.coords] if n else None
+        high = [f.derivative("d") for f in lower] if n else m.coords
+        out = []
+        for i in range(self.rank):
+            acc = Poly.zero()
+            for j, f in enumerate(high):
+                e, c = self.E[i][j], self.C[i][j]
+                if f and (e or c):
+                    acc = acc + f * (D * e + c)
+                if n and self.B[i][j] and lower[j]:
+                    acc = acc + lower[j] * (n * self.B[i][j])
+            out.append(acc)
         return ModuleElement(out)
 
     def act_word(self, word, m):
@@ -287,26 +298,25 @@ _SPEC_EXT = re.compile(
 
 def module_m(alpha, delta):
     alpha, delta = Fraction(alpha), Fraction(delta)
-    entry = Poly.const(alpha) + D + L * delta
     spec = f"M(alpha={alpha},delta={delta})"
-    mod = FiniteModule(1, ((entry,),), spec, {"alpha": alpha, "delta": delta})
+    mod = FiniteModule(((1,),), ((delta,),), ((alpha,),), spec,
+                       {"alpha": alpha, "delta": delta})
     _validate(mod)
     return mod
 
 
 def module_trivial():
-    mod = FiniteModule(1, ((Poly.zero(),),), "trivial", {})
+    mod = FiniteModule(((0,),), ((0,),), ((0,),), "trivial", {})
     _validate(mod)
     return mod
 
 
 def module_ext(alpha, beta, gamma):
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    a = L + D + Poly.const(alpha)
-    b = L + D + Poly.const(beta)
-    action = ((a, Poly.const(gamma)), (Poly.zero(), b))
+    identity = ((1, 0), (0, 1))
     spec = f"ext(alpha={alpha},beta={beta},gamma={gamma})"
-    mod = FiniteModule(2, action, spec, {"alpha": alpha, "beta": beta, "gamma": gamma})
+    mod = FiniteModule(identity, identity, ((alpha, gamma), (0, beta)), spec,
+                       {"alpha": alpha, "beta": beta, "gamma": gamma})
     _validate(mod)
     return mod
 

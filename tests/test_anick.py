@@ -331,6 +331,8 @@ def test_delta_table_shares_equal_coefficients(chains):
         assert anick._cached_delta_terms(chain) is got
         for terms in got.values():
             assert shared.setdefault(frozenset(terms.items()), terms) is terms
+            # only 1 and single letters v(n), which ∇ assembly reads
+            assert all(word is UNIT or word[0] == 0 for word in terms), chain
 
 
 def test_critical_cells_are_exactly_chain_cells():

@@ -112,6 +112,9 @@ _GOLDEN = Path(__file__).parent / "golden"
     # α = −3/2: the only report here whose elimination meets non-unit leads
     (("cohomology", "--degree", "5", "--module", "M(alpha=-3/2,delta=1)", "--window", "11"),
      "cohomology_h5_m32.json"),
+    # C a nilpotent Jordan block
+    (("cohomology", "--degree", "2", "--module", "ext(alpha=0,beta=0,gamma=1)", "--window", "9"),
+     "cohomology_ext_h2_nilpotent.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the
@@ -175,15 +178,19 @@ def test_invalid_inputs_exit_2(capture):
     assert capture("verify", "--only", "0", "--format", "json")[0] == 2
 
 
-@pytest.mark.parametrize("suite, flag", [("confluence", "--count"),
-                                         ("nabla-squared", "--max-degree"),
-                                         ("delta-squared", "--max-sum"),
-                                         ("chain-map", "--window")])
-def test_check_refuses_a_negative_bound(capture, suite, flag):
-    # a negative bound leaves the suite nothing to check, so no PASS may come of it
-    code, out, err = capture("check", "--suite", suite, flag, "-3")
+@pytest.mark.parametrize("suite, flag, value, least", [
+    pytest.param("confluence", "--count", "-3", 1, id="confluence---count"),
+    pytest.param("nabla-squared", "--max-degree", "-3", 0, id="nabla-squared---max-degree"),
+    pytest.param("delta-squared", "--max-sum", "-3", 0, id="delta-squared---max-sum"),
+    pytest.param("chain-map", "--window", "-3", 0, id="chain-map---window"),
+    pytest.param("confluence", "--count", "0", 1, id="confluence---count-zero"),
+])
+def test_check_refuses_a_negative_bound(capture, suite, flag, value, least):
+    # a negative bound, or a count of 0, leaves the suite nothing to check,
+    # so no PASS may come of it
+    code, out, err = capture("check", "--suite", suite, flag, value)
     assert code == 2 and out == ""
-    assert flag in err and ">= 0" in err
+    assert flag in err and f">= {least}" in err
 
 
 def test_oversized_enumerations_exit_2_at_once(capture):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from confweyl.coeffalg import coeff_image, normal_form
 from confweyl.conformal import ConformalElement, lambda_product
 from confweyl.modules import (
+    FiniteModule,
     ModuleElement,
     ModuleValidationError,
+    _validate,
     check_locality_compat,
     make_module,
     module_ext,
@@ -87,12 +89,62 @@ _d_polys_to_5 = st.dictionaries(st.integers(0, 5).map(lambda e: (e, 0, 0, 0)), _
                                 max_size=6).map(Poly)
 
 
+def _square(size, entries):
+    return st.lists(st.lists(entries, min_size=size, max_size=size),
+                    min_size=size, max_size=size).map(lambda rows: tuple(map(tuple, rows)))
+
+
+def _identity(size):
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
+def _zero(size):
+    return ((0,) * size,) * size
+
+
+@st.composite
+def _matrices(draw, entries):
+    """(E, B, C) of rank 1–2, E and B biased toward I, 0 and E."""
+    size = draw(st.integers(1, 2))
+    free = _square(size, entries)
+    E = draw(st.one_of(st.just(_identity(size)), st.just(_zero(size)), free))
+    B = draw(st.one_of(st.just(_identity(size)), st.just(_zero(size)), st.just(E), free))
+    return E, B, draw(free)
+
+
+def _matmul(X, Y):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*Y)) for row in X)
+
+
+def _matsub(X, Y):
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(X, Y))
+
+
 @settings(max_examples=80, deadline=None)
-@given(mod=_modules, n=st.integers(0, 7), data=st.data())
+@given(mod=st.one_of(_modules, _matrices(_rationals).map(
+           lambda m: FiniteModule(*m, "drawn"))),  # not validated: act_vn needs no axiom
+       n=st.integers(0, 7), data=st.data())
 def test_act_vn_matches_lambda_split_oracle(mod, n, data):
     # Taylor's formula against n!·[λⁿ] of v ∘λ m, on ∂-polynomials up to degree 5
     m = ModuleElement(tuple(data.draw(_d_polys_to_5) for _ in range(mod.rank)))
     assert mod.act_vn(n, m) == _lambda_split_act_vn(mod, n, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(st.sampled_from([-1, 0, 1])))
+def test_validate_accepts_exactly_the_matrix_identities(matrices):
+    # the ∂λ, λ², λμ and λ coefficients of the associativity identity; for
+    # E = I they read B² = B and BC = CB
+    E, B, C = matrices
+    want = (_matmul(B, B) == B and _matmul(B, E) == B
+            and _matsub(_matmul(E, E), E) == _matsub(_matmul(E, B), B)
+            and _matsub(_matmul(B, C), _matmul(C, B)) == _matsub(C, _matmul(C, E)))
+    try:
+        _validate(FiniteModule(E, B, C, "drawn"))
+        accepted = True
+    except ModuleValidationError:
+        accepted = False
+    assert accepted == want
 
 
 def test_act_vn_rejects_lambda_in_a_coordinate():
