@@ -136,17 +136,20 @@ def cmd_homotopy(args):
 
 
 def cmd_check(args):
-    # forward each given flag the suite takes as a keyword
+    # forward each given flag as the suite's keyword; refuse one it does not take
     allowed = inspect.signature(checks.SUITES[args.suite]).parameters
-    mapping = {
-        "max_degree": args.max_degree,
-        "max_sum": args.max_sum,
-        "count": args.count,
-        "window_sum": args.window,
-        "module": args.module,
+    flags = {
+        ("--max-degree", "max_degree"): args.max_degree,
+        ("--max-sum", "max_sum"): args.max_sum,
+        ("--count", "count"): args.count,
+        ("--window", "window_sum"): args.window,
+        ("--module", "module"): args.module,
     }
-    kwargs = {key: val for key, val in mapping.items() if key in allowed and val is not None}
-    result = checks.run_suite(args.suite, **kwargs)
+    given = {flag_key: val for flag_key, val in flags.items() if val is not None}
+    refused = [flag for flag, key in given if key not in allowed]
+    if refused:
+        raise ValueError(f"suite {args.suite!r} takes no {', '.join(refused)}")
+    result = checks.run_suite(args.suite, **{key: val for (_, key), val in given.items()})
     status = "PASS" if result["passed"] else "FAIL"
     text = f"{result['name']}: {status}"
     if not result["passed"]:

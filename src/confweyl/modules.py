@@ -1,4 +1,4 @@
-"""Finite free conformal modules over U(2) and their Λ-module structure.
+"""Finite free conformal modules over U(2), given by three matrices.
 
 A module of rank r is a free k[∂]-module on e₁…e_r with the λ-action of
 the generator v given by three r×r matrices E, B, C:
@@ -12,13 +12,17 @@ Shipped families:
   ext(α,β,γ)    rank 2, v ∘λ u = (λ+∂+α)u,  v ∘λ w = (λ+∂+β)w + γu
 
 Construction validates the associativity identity
-v ∘λ (v ∘μ m) = (v ∘λ v) ∘_{λ+μ} m symbolically on every basis vector and
-rejects failures with the violated identity named.  The equivalent
-λ-degree criterion is exposed separately as ``check_locality_compat``.
+v ∘λ (v ∘μ m) = (v ∘λ v) ∘_{λ+μ} m on every basis vector from the matrices
+alone: on eⱼ the residual is column j of
 
-Module elements are vectors of ∂-polynomials; during identity checking
-coordinates may temporarily carry λ or μ, which the action functions
-propagate through sesquilinearity (f(∂) acts shifted: f(∂+λ)).
+  λμ·(B² − B) + λ²·(BE − B) + ∂λ·(E² − E − EB + BE) + λ·(BC − CB − C + CE),
+
+and a failure is rejected with the violated identity named.  The symbolic
+expansion of the identity is the oracle ``checks.oracle_associativity_residual``;
+the equivalent λ-degree criterion for M(α,Δ) is ``check_locality_compat``.
+
+Module elements are vectors of ∂-polynomials, on which the letter v(n) acts
+by Taylor's formula (``act_vn``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from fractions import Fraction
 import re
 
 from .poly import Poly, D, L, M as MU, split_constant
-from .conformal import ConformalElement, lambda_product
 from .coeffalg import UNIT, _exact
 
 
@@ -46,10 +49,6 @@ class ModuleElement:
     @classmethod
     def zero(cls, rank):
         return cls((Poly.zero(),) * rank)
-
-    @classmethod
-    def basis(cls, rank, j):
-        return cls(tuple(Poly.one() if i == j else Poly.zero() for i in range(rank)))
 
     @classmethod
     def constants(cls, values):
@@ -97,8 +96,7 @@ class FiniteModule:
     """Free finite-rank conformal U(2)-module given by its matrices E, B, C.
 
     v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ; the matrices are tuples of rows in
-    stored form (``coeffalg._exact``), and ``action`` is the same map as
-    ∂λ-polynomials, entry[i][j] the coefficient of eᵢ in v ∘λ eⱼ.
+    stored form (``coeffalg._exact``).
     """
 
     def __init__(self, E, B, C, spec, params=None):
@@ -108,10 +106,6 @@ class FiniteModule:
         if any(len(mat) != self.rank or any(len(row) != self.rank for row in mat)
                for mat in (self.E, self.B, self.C)):
             raise ValueError("E, B and C must be square matrices of one size")
-        self.action = tuple(
-            tuple(Poly({(1, 0, 0, 0): e, (0, 0, 1, 0): b, (0, 0, 0, 0): c})
-                  for e, b, c in zip(*rows))
-            for rows in zip(self.E, self.B, self.C))
         self.spec = spec
         self.params = dict(params or {})
         # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``);
@@ -122,58 +116,13 @@ class FiniteModule:
         return ModuleElement.zero(self.rank)
 
     def basis(self):
-        return [ModuleElement.basis(self.rank, j) for j in range(self.rank)]
+        return [ModuleElement(Poly.one() if i == j else Poly.zero() for i in range(self.rank))
+                for j in range(self.rank)]
 
     def element(self, *coords):
-        polys = []
-        for c in coords:
-            polys.append(c if isinstance(c, Poly) else Poly.const(c))
-        if len(polys) != self.rank:
+        if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
-        return ModuleElement(polys)
-
-    # -- λ-actions ----------------------------------------------------------
-
-    def act_v_lambda(self, m):
-        """v ∘λ m as a map λ-degree -> ModuleElement (coords may carry μ)."""
-        shifted = [f.shift("d", L) for f in m.coords]
-        full = []
-        for i in range(self.rank):
-            acc = Poly.zero()
-            for j in range(self.rank):
-                if not shifted[j].is_zero() and not self.action[i][j].is_zero():
-                    acc = acc + self.action[i][j] * shifted[j]
-            full.append(acc)
-        return _split_lambda(full, self.rank)
-
-    def act_lambda(self, c, m):
-        """c ∘λ m for any c ∈ U(2), recursively through the action matrix.
-
-        Monomials ∂^a v^k act as (-λ)^a times the k-fold action of v, where
-        v^k ∘λ m = Σⱼ λ^j (v^{k-1} ∘(0) mⱼ) for v ∘λ m = Σⱼ λ^j mⱼ.
-        """
-        out = {}
-        for a, k, coeff in c.monomials():
-            part = self._act_v_power(k, m)
-            sign = (-1) ** a
-            for deg, el in part.items():
-                key = deg + a
-                add = el.scale(sign * coeff)
-                out[key] = out[key] + add if key in out else add
-        return {deg: el for deg, el in out.items() if not el.is_zero()}
-
-    def _act_v_power(self, k, m):
-        if k == 0:
-            return {0: m}
-        if k == 1:
-            return self.act_v_lambda(m)
-        inner = self.act_v_lambda(m)
-        out = {}
-        for deg, el in inner.items():
-            head = self._act_v_power(k - 1, el).get(0)
-            if head is not None and not head.is_zero():
-                out[deg] = out[deg] + head if deg in out else head
-        return out
+        return ModuleElement(c if isinstance(c, Poly) else Poly.const(c) for c in coords)
 
     def act_vn(self, n, m):
         """Action of the letter v(n) by Taylor's formula.
@@ -231,21 +180,6 @@ class FiniteModule:
         return f"FiniteModule({self.spec!r})"
 
 
-def _split_lambda(coords, rank):
-    degs = set()
-    split = []
-    for f in coords:
-        parts = f.coeffs_in("l")
-        split.append(parts)
-        degs.update(parts)
-    out = {}
-    for deg in degs:
-        vec = ModuleElement(tuple(parts.get(deg, Poly.zero()) for parts in split))
-        if not vec.is_zero():
-            out[deg] = vec
-    return out
-
-
 def check_locality_compat(alpha, delta):
     """λ-degree criterion for M(α,Δ) to carry the locality-2 product.
 
@@ -257,37 +191,33 @@ def check_locality_compat(alpha, delta):
     return expr.degree("l") < 2
 
 
-def associativity_residual(module, m):
-    """Coordinates of v∘λ(v∘μ m) - (v∘λv)∘_{λ+μ} m, as polynomials in ∂, λ, μ.
-
-    Every coordinate is zero exactly when associativity holds on m.
-    """
-    # inner action in μ: substitute λ -> μ in the split result
-    inner = {deg: ModuleElement(tuple(c.subs("l", MU) for c in el.coords))
-             for deg, el in module.act_v_lambda(m).items()}
-    lhs = [Poly.zero()] * module.rank
-    for deg, el in inner.items():
-        for d2, el2 in module.act_v_lambda(el).items():
-            for i in range(module.rank):
-                lhs[i] = lhs[i] + el2.coords[i] * MU ** deg * L ** d2
-    rhs = [Poly.zero()] * module.rank
-    v = ConformalElement.gen()
-    for deg, f in lambda_product(v, v).coeffs_in("l").items():
-        for d2, el2 in module.act_lambda(ConformalElement(f), m).items():
-            for i in range(module.rank):
-                rhs[i] = rhs[i] + el2.coords[i] * (L + MU) ** d2 * L ** deg
-    return [a - b for a, b in zip(lhs, rhs)]
-
-
 def _validate(module):
-    """Associativity v∘λ(v∘μ m) = (v∘λv)∘_{λ+μ} m on every basis vector."""
-    for j, e in enumerate(module.basis()):
-        residual = associativity_residual(module, e)
-        if any(residual):
+    """Associativity v∘λ(v∘μ m) = (v∘λv)∘_{λ+μ} m on every basis vector.
+
+    On eⱼ, coordinate i of the residual is entry [i][j] of B² − B, BE − B,
+    E² − E − EB + BE and BC − CB − C + CE times λμ, λ², ∂λ and λ; no other
+    monomial occurs.  Only a failing column is written out as polynomials,
+    for the message.  Returns the module.
+    """
+    E, B, C, r = module.E, module.B, module.C, module.rank
+
+    def product(X, Y, i, j):
+        return sum(X[i][k] * Y[k][j] for k in range(r))
+
+    for j in range(r):
+        residual = [{(0, 0, 1, 1): product(B, B, i, j) - B[i][j],
+                     (0, 0, 2, 0): product(B, E, i, j) - B[i][j],
+                     (1, 0, 1, 0): (product(E, E, i, j) - E[i][j]
+                                    - product(E, B, i, j) + product(B, E, i, j)),
+                     (0, 0, 1, 0): (product(B, C, i, j) - product(C, B, i, j)
+                                    - C[i][j] + product(C, E, i, j))}
+                    for i in range(r)]
+        if any(c for coeffs in residual for c in coeffs.values()):
             raise ModuleValidationError(
                 f"{module.spec}: associativity (v∘λ(v∘μ m)) = ((v∘λv)∘(λ+μ) m) "
-                f"fails on basis vector {j}; residual {[str(r) for r in residual]}"
+                f"fails on basis vector {j}; residual {[str(Poly(c)) for c in residual]}"
             )
+    return module
 
 
 _SPEC_M = re.compile(r"^M\(\s*alpha\s*=\s*(-?\d+(?:/\d+)?)\s*,\s*delta\s*=\s*(-?\d+(?:/\d+)?)\s*\)$", re.I)
@@ -299,26 +229,20 @@ _SPEC_EXT = re.compile(
 def module_m(alpha, delta):
     alpha, delta = Fraction(alpha), Fraction(delta)
     spec = f"M(alpha={alpha},delta={delta})"
-    mod = FiniteModule(((1,),), ((delta,),), ((alpha,),), spec,
-                       {"alpha": alpha, "delta": delta})
-    _validate(mod)
-    return mod
+    return _validate(FiniteModule(((1,),), ((delta,),), ((alpha,),), spec,
+                                  {"alpha": alpha, "delta": delta}))
 
 
 def module_trivial():
-    mod = FiniteModule(((0,),), ((0,),), ((0,),), "trivial", {})
-    _validate(mod)
-    return mod
+    return _validate(FiniteModule(((0,),), ((0,),), ((0,),), "trivial", {}))
 
 
 def module_ext(alpha, beta, gamma):
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     identity = ((1, 0), (0, 1))
     spec = f"ext(alpha={alpha},beta={beta},gamma={gamma})"
-    mod = FiniteModule(identity, identity, ((alpha, gamma), (0, beta)), spec,
-                       {"alpha": alpha, "beta": beta, "gamma": gamma})
-    _validate(mod)
-    return mod
+    return _validate(FiniteModule(identity, identity, ((alpha, gamma), (0, beta)), spec,
+                                  {"alpha": alpha, "beta": beta, "gamma": gamma}))
 
 
 def _spec_numbers(match, spec):
@@ -351,10 +275,5 @@ def make_module(spec):
 
 def reduce_element(m):
     """Coordinate-wise split f = c + ∂·g; returns (constants, quotient)."""
-    consts = []
-    quots = []
-    for f in m.coords:
-        c, g = split_constant(f)
-        consts.append(c)
-        quots.append(g)
-    return tuple(consts), ModuleElement(tuple(quots))
+    split = [split_constant(f) for f in m.coords]
+    return tuple(c for c, _ in split), ModuleElement(g for _, g in split)

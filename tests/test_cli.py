@@ -218,9 +218,12 @@ def test_check_forwards_only_the_suite_keywords(capture, monkeypatch):
     assert capture("check", "--suite", "chain-kill", "--max-degree", "2",
                    "--max-sum", "4")[0] == 0
     assert seen["chain-kill"] == {"max_degree": 2, "max_sum": 4}
-    # fdg takes no count, so --count is not forwarded (it would raise TypeError)
-    assert capture("check", "--suite", "fdg", "--count", "5", "--window", "3")[0] == 0
-    assert seen["fdg"] == {"max_degree": 3, "max_sum": 6}
+    # fdg takes neither --count nor --window: both are refused by name, and
+    # the suite does not run on flags it would not read
+    code, out, err = capture("check", "--suite", "fdg", "--count", "5", "--window", "3")
+    assert code == 2 and out == ""
+    assert "'fdg'" in err and "--count" in err and "--window" in err
+    assert "fdg" not in seen
 
 
 def test_failed_check_exits_1(capture, monkeypatch):

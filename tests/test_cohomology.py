@@ -45,6 +45,7 @@ from confweyl.verify import (
     nabla_general_reference_matrix,
 )
 from test_coeffalg import _stored_form
+from test_modules import _matmul
 from test_ratmat import _oracle_rref
 
 W8 = Window(8, 0)
@@ -454,6 +455,35 @@ def test_restriction_equals_smaller_window(module, degree, W, margin):
         assert got.col_labels == want.col_labels
         assert got.columns == want.columns
     assert restricted.projected_dims(degree) == direct.projected_dims(degree)
+
+
+# 2×2 integer matrices of determinant ±1, so each has an integer inverse
+_UNIMODULAR = (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 1)),
+               ((1, 2), (1, 1)), ((1, 0), (-3, 1)))
+
+
+def _conjugate(S, X):
+    """SXS⁻¹ for a 2×2 S of determinant ±1 (1/det = det)."""
+    (a, b), (c, d) = S
+    det = a * d - b * c
+    inverse = ((d * det, -b * det), (-c * det, a * det))
+    return _matmul(_matmul(S, X), inverse)
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=st.tuples(_rationals, _rationals, _rationals), S=st.sampled_from(_UNIMODULAR),
+       degree=st.integers(1, 3), W=st.integers(3, 7), margin=st.integers(0, 3))
+def test_report_is_invariant_under_conjugation(params, S, degree, W, margin):
+    # ∇ of (SES⁻¹, SBS⁻¹, SCS⁻¹) is ∇ of (E, B, C) conjugated by I ⊗ S, which
+    # commutes with the projection onto the inner window, so every projected
+    # dimension matches
+    window = Window(W, min(margin, W - 1))
+    module = module_ext(*params)
+    conjugated = _matrix_module(*(_conjugate(S, X) for X in (module.E, module.B, module.C)))
+    want = cohomology_dim(degree, module, window)
+    got = cohomology_dim(degree, conjugated, window)
+    assert got.pop("module") == conjugated.spec and want.pop("module") == module.spec
+    assert got == want
 
 
 def _count_assemblies(monkeypatch):

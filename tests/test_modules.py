@@ -1,12 +1,20 @@
 from fractions import Fraction
 from math import factorial
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confweyl import poly
+from confweyl.checks import (
+    SHIPPED_MODULES,
+    oracle_act_lambda,
+    oracle_act_v_lambda,
+    oracle_associativity_residual,
+)
 from confweyl.coeffalg import coeff_image, normal_form
-from confweyl.conformal import ConformalElement, lambda_product
+from confweyl.conformal import ConformalElement
 from confweyl.modules import (
     FiniteModule,
     ModuleElement,
@@ -51,14 +59,14 @@ def test_act_lambda_closed_examples():
     m = module_m(Fraction(2), 1)
     u = m.basis()[0]
     v = ConformalElement.gen()
-    assert m.act_lambda(v, u) == {0: m.element(D + 2), 1: u}
+    assert oracle_act_lambda(m, v, u) == {0: m.element(D + 2), 1: u}
     v2 = ConformalElement.parse("v^2")
-    assert m.act_lambda(v2, u) == {
+    assert oracle_act_lambda(m, v2, u) == {
         0: m.element((D + 2) * (D + 2)),
         1: m.element(D + 2),
     }
     du = m.derivation(u)
-    got = m.act_lambda(v, du)
+    got = oracle_act_lambda(m, v, du)
     # (∂+λ)(α+∂+λ)u split by λ-degree
     assert got == {0: m.element(D * (D + 2)), 1: m.element(2 * D + 2), 2: u}
 
@@ -75,7 +83,7 @@ def test_act_vn_examples():
 
 def _lambda_split_act_vn(mod, n, m):
     """v(n)·m as n! times the λⁿ part of v ∘λ m, from the shifted product."""
-    part = mod.act_v_lambda(m).get(n)
+    part = oracle_act_v_lambda(mod, m).get(n)
     return mod.zero() if part is None else part.scale(factorial(n))
 
 
@@ -104,8 +112,8 @@ def _zero(size):
 
 @st.composite
 def _matrices(draw, entries):
-    """(E, B, C) of rank 1–2, E and B biased toward I, 0 and E."""
-    size = draw(st.integers(1, 2))
+    """(E, B, C) of rank 1–3, E and B biased toward I, 0 and E."""
+    size = draw(st.integers(1, 3))
     free = _square(size, entries)
     E = draw(st.one_of(st.just(_identity(size)), st.just(_zero(size)), free))
     B = draw(st.one_of(st.just(_identity(size)), st.just(_zero(size)), st.just(E), free))
@@ -133,7 +141,8 @@ def test_act_vn_matches_lambda_split_oracle(mod, n, data):
 @settings(max_examples=200, deadline=None)
 @given(_matrices(st.sampled_from([-1, 0, 1])))
 def test_validate_accepts_exactly_the_matrix_identities(matrices):
-    # the ∂λ, λ², λμ and λ coefficients of the associativity identity; for
+    # the λμ, λ², ∂λ and λ coefficients of the associativity identity (the
+    # ∂λ one is E² − E − EB + BE, which reads as below once BE = B); for
     # E = I they read B² = B and BC = CB
     E, B, C = matrices
     want = (_matmul(B, B) == B and _matmul(B, E) == B
@@ -145,6 +154,48 @@ def test_validate_accepts_exactly_the_matrix_identities(matrices):
     except ModuleValidationError:
         accepted = False
     assert accepted == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(st.sampled_from([-1, 0, 1, Fraction(1, 2)])))
+def test_validate_agrees_with_the_symbolic_oracle(matrices):
+    # unvalidated draws: the matrix check accepts exactly when the symbolic
+    # residual vanishes on every basis vector, and otherwise names the first
+    # basis vector it fails on with the residual the symbolic expansion wrote
+    module = FiniteModule(*matrices, "drawn")
+    want = None
+    for j, e in enumerate(module.basis()):
+        residual = oracle_associativity_residual(module, e)
+        if any(residual):
+            want = (f"drawn: associativity (v∘λ(v∘μ m)) = ((v∘λv)∘(λ+μ) m) "
+                    f"fails on basis vector {j}; residual {[str(r) for r in residual]}")
+            break
+    try:
+        _validate(module)
+    except ModuleValidationError as err:
+        got = str(err)
+    else:
+        got = None
+    assert got == want
+
+
+def test_construction_builds_no_poly():
+    # a Poly is made only by code in poly.py, by its constructor or by
+    # Poly.__new__ inside its operations, so a construction that enters no
+    # function of poly.py builds none
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == poly.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for spec in SHIPPED_MODULES:
+            make_module(spec)
+    finally:
+        sys.setprofile(None)
+    assert entered == []
 
 
 def test_act_vn_rejects_lambda_in_a_coordinate():
@@ -186,7 +237,7 @@ def test_weight_one_closed_formula(f, a, k):
     mod = module_m(alpha, 1)
     c = ConformalElement.monomial(a, k)
     m = ModuleElement((f,))
-    got = mod.act_lambda(c, m)
+    got = oracle_act_lambda(mod, c, m)
     h = (-L) ** a * (Poly.variable("v")) ** (k - 1)
     closed = h.subs("v", D + Poly.const(alpha)) \
         * (L + D + Poly.const(alpha)) * f.shift("d", L)
@@ -218,7 +269,7 @@ def test_coefficient_action_consistency():
     for mod in mods:
         for c in mons:
             for e in mod.basis():
-                lam = mod.act_lambda(c, e)
+                lam = oracle_act_lambda(mod, c, e)
                 for n in range(0, 7):
                     via_word = mod.act_algebra(coeff_image(c, n), e)
                     via_lambda = lam.get(n, mod.zero()).scale(math.factorial(n))

@@ -41,6 +41,20 @@ def test_no_unused_imports_in_the_package():
     assert not found, found
 
 
+def test_modules_does_not_import_the_conformal_algebra():
+    # a module is its matrices E, B, C; the symbolic λ-action over U(2)
+    # lives only in the oracle, checks.oracle_associativity_residual
+    tree = ast.parse((SRC / "modules.py").read_text(encoding="utf-8"))
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                parts.update(alias.name.split("."))
+    assert parts and "conformal" not in parts
+
+
 _TABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
