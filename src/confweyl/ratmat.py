@@ -8,8 +8,7 @@ one incremental Gauss–Jordan elimination over the integers, fraction-free
 in the manner of Bareiss (Math. Comp. 1968):
 
 1. Each row is scaled to integers by the lcm of its denominators (a row
-   of ``int``s is kept), and the rows are taken sparsest first, which
-   keeps fill-in low.
+   of ``int``s is kept), and the rows are taken by decreasing smallest column.
 2. The basis maps each lead to (row, L): L > 0 is the lead value and row
    the integer row without its lead.  Every basis row is zero at every
    other lead, and primitive together with its L.
@@ -17,8 +16,9 @@ in the manner of Bareiss (Math. Comp. 1968):
    row ← L·row − row[lead]·basis_row (L and row[lead] divided by their gcd
    first).  A basis row vanishes at the other leads, so one pass over the
    leads clears them all, with no cascade.
-4. What is left, if anything, gets its smallest column as a new lead.  It
-   is made primitive with a positive lead value, and that column is
+4. What is left, if anything, gets its smallest column as a new lead, made
+   primitive with a positive lead value.  Each basis row lies right of its
+   own lead, so only a lead right of the smallest one can be held; it is
    cleared from every basis row that holds it, each made primitive again.
 
 Integer row operations keep the row space over Q, and each new lead is the
@@ -33,7 +33,7 @@ the entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 class RationalMatrix:
@@ -80,16 +80,14 @@ class RationalMatrix:
         """Basis of ker(A) as sparse vectors {col: value} over columns.
 
         One vector per free column, in column order, read off the reduced
-        row echelon form, so results are deterministic.  Each vector holds
-        its free column first, then the leads in the order the rows, taken
-        sparsest first, bring them in.  An entry is an ``int`` when integral,
-        else a ``Fraction``.
+        row echelon form.  Each vector holds its free column first, then the
+        leads in increasing column order, so it depends on nothing but A.
+        An entry is an ``int`` when integral, else a ``Fraction``.
         """
         rref = _exact_rref(self.rows())
         basis = {f: {f: 1} for f in range(self.ncols) if f not in rref}
-        # each integer row is dropped once read, so it and its Fractions are
-        # never both held for the whole RREF
-        for lead in list(rref):
+        # an integer row is dropped once read, not held beside its Fractions
+        for lead in sorted(rref):
             nums, den = rref.pop(lead)
             for j, v in nums.items():
                 basis[j][lead] = Fraction(-v, den) if v % den else -v // den
@@ -110,14 +108,14 @@ def _exact_rref(rows):
 
     Row ``lead`` of the RREF is 1 at the lead plus numerators/denominator,
     integers at the free columns, in lowest terms with the denominator > 0.
-    The rows are scaled to integers and reduced in place, and the list is
-    emptied.
+    The rows, empty ones allowed, are scaled to integers and reduced in
+    place, and the list is emptied.
     """
     for row in rows:
         _scale_to_integers(row)
-    rows.sort(key=len)
-    rows.reverse()  # popped sparsest first, so a row that reduces to 0 is freed at once
+    rows.sort(key=lambda row: (min(row, default=-1), len(row)))  # popped from the end
     basis = {}
+    low = inf  # the smallest lead in the basis
     while rows:
         row = rows.pop()
         for lead in [j for j in row if j in basis]:
@@ -127,10 +125,12 @@ def _exact_rref(rows):
             continue
         lead = min(row)
         den = _primitive(row, row.pop(lead))
-        for other, (piv, d) in basis.items():
-            c = piv.pop(lead, 0)
-            if c:
-                basis[other] = piv, _primitive(piv, d * _combine(piv, den, c, row))
+        if lead > low:  # else no basis row holds it: each lies right of its lead
+            for other, (piv, d) in basis.items():
+                c = piv.pop(lead, 0)
+                if c:
+                    basis[other] = piv, _primitive(piv, d * _combine(piv, den, c, row))
+        low = min(low, lead)
         basis[lead] = row, den
     return basis
 

@@ -115,6 +115,9 @@ _GOLDEN = Path(__file__).parent / "golden"
     # C a nilpotent Jordan block
     (("cohomology", "--degree", "2", "--module", "ext(alpha=0,beta=0,gamma=1)", "--window", "9"),
      "cohomology_ext_h2_nilpotent.json"),
+    # α = 1 at degree 6: a large report whose kernel and image are both 126
+    (("cohomology", "--degree", "6", "--module", "M(alpha=1,delta=1)", "--window", "12"),
+     "cohomology_h6_m11.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the

@@ -532,6 +532,25 @@ def test_nabla_and_kernel_entries_keep_the_stored_form(module, degree, W, alpha)
         assert all(_stored_form(vec) for vec in a.nullspace())
 
 
+@settings(max_examples=40, deadline=None)
+@given(module=st.one_of(_modules, _matrix_modules), degree=st.integers(0, 4),
+       W=st.integers(3, 7), rng=st.randoms(use_true_random=False))
+def test_elimination_does_not_depend_on_row_order(module, degree, W, rng):
+    # the RREF is unique, and the kernel's vector and key order are canonical
+    a = assemble_matrix(degree, module, Window(W, 0))
+    shuffled = a.rows()
+    rng.shuffle(shuffled)
+    assert ratmat._exact_rref([dict(row) for row in shuffled]) == ratmat._exact_rref(a.rows())
+
+    columns = [{} for _ in range(a.ncols)]
+    for i, row in enumerate(shuffled):
+        for j, v in row.items():
+            columns[j][i] = v
+    b = RationalMatrix(a.nrows, a.ncols, columns)
+    assert [list(vec.items()) for vec in b.nullspace()] \
+        == [list(vec.items()) for vec in a.nullspace()]
+
+
 def _fraction_route(ncols, rows):
     """RREF over Q of sparse rows by the dense Fraction oracle of the tests.
 

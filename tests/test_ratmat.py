@@ -99,14 +99,21 @@ def test_ranks_match_dense_oracle(matrix, data):
     assert rank_of_vectors(vectors, lambda j: j in coords) == _oracle_rank(ncols, projected)
 
 
-# a chain of pivot rows, each reaching the next lead: every new lead has to be
-# cleared from the rows before it
+# a chain of pivot rows, each reaching the next lead: taken by decreasing
+# lead, each row is reduced against the one after it, and no lead is cleared
+# from a row before it
 _STAIRCASE = (4, [[Fraction(x) for x in row]
                   for row in ([1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1])])
+
+# the last row taken reduces to lead 2, right of the basis's lowest lead 0,
+# so lead 2 is cleared from both rows before it
+_BACK_CLEARED = (3, [[Fraction(x) for x in row]
+                     for row in ([1, 1, 0], [1, 0, 1], [0, 1, 1])])
 
 
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 @example(_STAIRCASE, random.Random(0))
+@example(_BACK_CLEARED, random.Random(0))
 @settings(max_examples=150, deadline=None)
 def test_nullspace_is_the_rref_kernel_basis(matrix, rng):
     ncols, rows = matrix
@@ -129,7 +136,7 @@ def _pinned(rows):
 
 
 @pytest.mark.parametrize("matrix, rank", [
-    # staircase: each new lead is cleared from the rows before it
+    # staircase: each row is reduced forward, no lead is cleared back
     (_STAIRCASE, 3),
     # the row (0, P) vanishes mod P, yet rank_Q = 2
     (_pinned([[2, 1], [0, P]]), 2),
@@ -139,6 +146,8 @@ def _pinned(rows):
     (_pinned([[Fraction(1, P), 1]]), 1),
     # (0, P, 5) reduces to (0, 0, 5) mod P, where the true RREF row is (0, 1, 5/P)
     (_pinned([[2, 1, 0], [0, P, 5]]), 2),
+    # the last lead is cleared from both basis rows
+    (_BACK_CLEARED, 3),
 ])
 def test_exactness_pinned(matrix, rank):
     ncols, rows = matrix
@@ -177,15 +186,6 @@ def tall_integer_matrices(draw):
     return ncols, rows
 
 
-def _lead_order(ncols, rows):
-    """Leads in the order the rows, taken sparsest first, bring them in."""
-    rows = sorted(rows, key=lambda row: sum(1 for x in row if x))
-    order = []
-    for k in range(1, len(rows) + 1):
-        order += [p for p in _oracle_rref(ncols, rows[:k])[1] if p not in order]
-    return order
-
-
 @given(tall_integer_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_non_unit_leads_match_dense_oracle(matrix, data):
@@ -204,13 +204,11 @@ def test_non_unit_leads_match_dense_oracle(matrix, data):
             == {j: x for j, x in enumerate(row) if x and j != p}
 
     # the kernel basis, in vector order and key order: each vector holds its
-    # free column, then the leads in the order a's rows bring them in
-    order = _lead_order(ncols, [[row.get(j, Fraction(0)) for j in range(ncols)]
-                                for row in a.rows()])
-    rank = {p: i for i, p in enumerate(order)}
-    want = [dict(sorted(vec.items(), key=lambda item: rank.get(item[0], -1)))
+    # free column, then the leads in increasing column order
+    want = [[(f, x) for f, x in vec.items() if f not in pivots]
+            + [(p, vec[p]) for p in sorted(pivots) if p in vec]
             for vec in _oracle_kernel(ncols, rows)]
-    assert [list(vec.items()) for vec in a.nullspace()] == [list(vec.items()) for vec in want]
+    assert [list(vec.items()) for vec in a.nullspace()] == want
 
     keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     assert a.rank(lambda i: keep[i]) \
