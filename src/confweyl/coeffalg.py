@@ -198,33 +198,48 @@ def _scaled(terms, q):
 def _mul_into(acc, a, b):
     """acc += a·b on stored-form term dicts {word: coeff}, in place.
 
-    The product of two normal words is ``_letter_word``'s closed form for
-    v(na)·wb, shifted by wa's v(0)^ka as it is read; ``UNIT`` on either side
-    passes the other word through.  Integral sums stay ``int`` and any other
-    goes through ``_exact``.  An entry that cancels is deleted, so one met
-    again later is appended.  This is Λ's one product: ``AlgebraElement``
-    multiplies through it, and the Morse traversal in ``anick`` and the
-    resolution checks call it on raw dicts.
+    Each pair of words wa = v(0)^ka v(na), wb = v(0)^kb v(nb) falls in one
+    of three cases, and only the last builds a product:
+    - ``UNIT`` on either side: the other word, added straight in;
+    - na = 0: the single word v(0)^(ka+kb+1) v(nb);
+    - na ≥ 1: ``_letter_word``'s closed form for v(na)·wb, shifted by
+      v(0)^ka as it is read.
+    Integral sums stay ``int`` and any other goes through ``_exact``.  An
+    entry that cancels is deleted, so one met again later is appended.
+    This is Λ's one product: ``AlgebraElement`` multiplies through it, and
+    the Morse traversal in ``anick`` and the resolution checks call it on
+    raw dicts.
     """
     get = acc.get
     for wa, ca in a.items():
+        if wa is not UNIT:
+            ka, na = wa
         for wb, cb in b.items():
             c = ca * cb
-            if wa is UNIT or wb is UNIT:
-                ka, products = 0, {wb if wa is UNIT else wa: 1}
+            if wa is UNIT:
+                w = wb
+            elif wb is UNIT:
+                w = wa
+            elif not na:
+                w = (ka + wb[0] + 1, wb[1])
             else:
-                # v(0)^ka v(na)·wb: v(na)·wb, shifted by v(0)^ka as it is read
-                ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
-            for w, cw in products.items():
-                if ka:
-                    w = (w[0] + ka, w[1])
-                s = get(w, 0) + c * cw
-                if type(s) is not int:
-                    s = _exact(s)
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
+                for (k, n), cw in _letter_word(na, wb[0], wb[1]).items():
+                    w = (k + ka, n)
+                    s = get(w, 0) + c * cw
+                    if type(s) is not int:
+                        s = _exact(s)
+                    if s:
+                        acc[w] = s
+                    else:
+                        del acc[w]
+                continue
+            s = get(w, 0) + c
+            if type(s) is not int:
+                s = _exact(s)
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
 
 
 def normal_form(word):

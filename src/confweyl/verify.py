@@ -87,7 +87,8 @@ def _acc(out, chain, coeff):
 
 def _reference_matrix(alpha, degree, window, row_terms):
     """∇^degree of M(α,1) as columns, summing ``row_terms(row)``, the
-    (column chain, value) terms of each row chain.
+    (column chain, value) terms of each row chain.  Each builder passes α
+    in stored form (``_exact``), so an integral α sums as ``int``s.
 
     s = 0 on non-chain tuples, so a term whose chain has an interior index
     below 1 or a last index below 0 is skipped, as is a zero value; an
@@ -112,6 +113,8 @@ def _reference_matrix(alpha, degree, window, row_terms):
 
 def nabla1_reference_matrix(alpha, window):
     """Rows [n|m]: -α at column n+m, +m at column n+m-1."""
+    alpha = _exact(alpha)
+
     def row_terms(row):
         n, m = row
         return (((n + m,), -alpha), ((n + m - 1,), m))
@@ -120,6 +123,8 @@ def nabla1_reference_matrix(alpha, window):
 
 def nabla2_reference_matrix(alpha, window):
     """Rows [n|m|p]: -α@(n+m,p) +α@(n,m+p) +m@(n+m-1,p) +p@(n+m,p-1) -p@(n,m+p-1)."""
+    alpha = _exact(alpha)
+
     def row_terms(row):
         n, m, p = row
         return (((n + m, p), -alpha), ((n, m + p), alpha), ((n + m - 1, p), m),
@@ -135,6 +140,8 @@ def nabla_general_reference_matrix(alpha, degree, window):
     s = 0 on non-chain tuples; the n = 1, 2 instances of this formula are
     exactly the two reference matrices above.
     """
+    alpha = _exact(alpha)
+
     def row_terms(x):
         nlen = len(x)
         for j in range(1, nlen):  # 1-based merge position

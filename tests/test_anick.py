@@ -273,30 +273,62 @@ def test_traversal_reads_each_matched_edge_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
-def _morse_maps(chains, f_first):
+def _items(combo):
+    """A map's items in order, each coefficient as its terms in order with
+    their storage types."""
+    return [(key, [(w, type(c), c) for w, c in val.terms.items()])
+            for key, val in combo.items()]
+
+
+def _morse_maps(chains, f_first, cold=True):
     """f on the cells of each d(chain cell), g and δ by Morse paths, with
-    their items in order, from cold caches; f or g fills the memo first."""
+    their items in order, inner terms and types included; from cold caches
+    unless ``cold`` is false, f or g filling the memo first."""
     def f():
-        return [list(homotopy_f(y).items())
+        return [_items(homotopy_f(y))
                 for chain in chains for y in bar_differential(chain_to_cell(chain))]
 
     def g():
-        return [list(homotopy_g(chain).items()) for chain in chains]
+        return [_items(homotopy_g(chain)) for chain in chains]
 
-    clear_caches()
+    if cold:
+        clear_caches()
     if f_first:
         f_values = f()
         g_values = g()
     else:
         g_values = g()
         f_values = f()
-    return f_values, g_values, [list(anick_delta_morse(chain).items()) for chain in chains]
+    return f_values, g_values, [_items(anick_delta_morse(chain)) for chain in chains]
 
 
 def test_morse_maps_do_not_depend_on_the_order_they_fill_the_memo():
     chains = [chain for degree in range(1, 4) for chain in enumerate_chains(degree, 6)]
     try:
         assert _morse_maps(chains, f_first=True) == _morse_maps(chains, f_first=False)
+    finally:
+        clear_caches()
+
+
+def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
+    # after the fdg and morse-closed suites fill the memo from cold caches,
+    # equal coefficients of f and of the ascent are one object, every split
+    # end holds the same pair, and the maps read through those copies give
+    # what a cold run gives in either fill order
+    chains = [chain for degree in range(1, 5) for chain in enumerate_chains(degree, 8)]
+    clear_caches()
+    try:
+        assert check_fdg(max_degree=4, max_sum=8)["passed"]
+        assert check_morse_closed(max_degree=4, max_sum=8)["passed"]
+        pairs = {cell: pair for cell, pair in _f_memo.items() if type(cell) is tuple}
+        coeffs = [terms for pair in pairs.values() for half in pair for terms in half.values()]
+        assert len(coeffs) > len({id(terms) for terms in coeffs}) \
+            == len({frozenset(terms.items()) for terms in coeffs})
+        edges = {cell: matched_edge(cell) for cell in pairs}
+        split = [pairs[cell] for cell, edge in edges.items() if edge and edge[1] == "down"]
+        assert split and split[0] == ({}, {}) and all(pair is split[0] for pair in split)
+        warm = _morse_maps(chains, f_first=True, cold=False)
+        assert warm == _morse_maps(chains, f_first=True) == _morse_maps(chains, f_first=False)
     finally:
         clear_caches()
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confweyl import checks
@@ -11,6 +11,7 @@ from confweyl.anick import cell_letters
 from confweyl.coeffalg import (
     UNIT,
     AlgebraElement,
+    _exact,
     _letter_word,
     _mul_into,
     coeff_image,
@@ -262,6 +263,65 @@ def test_product_kernel_matches_naive_normal_ordering(acc, a, b):
     product = (AlgebraElement(a) * AlgebraElement(b)).terms
     assert list(product.items()) == list(_product_by_naive_reduction({}, a, b).items())
     assert _stored_form(product)
+
+
+def _oracle_mul_into(acc, a, b):
+    """acc += a·b by one rule for every pair of words, the reference for
+    ``_mul_into``'s three cases: a {word: 1} dict for ``UNIT`` on either
+    side, else ``_letter_word`` for v(na)·wb, shifted by v(0)^ka."""
+    get = acc.get
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = ca * cb
+            if wa is UNIT or wb is UNIT:
+                ka, products = 0, {wb if wa is UNIT else wa: 1}
+            else:
+                ka, products = wa[0], _letter_word(wa[1], wb[0], wb[1])
+            for w, cw in products.items():
+                if ka:
+                    w = (w[0] + ka, w[1])
+                s = get(w, 0) + c * cw
+                if type(s) is not int:
+                    s = _exact(s)
+                if s:
+                    acc[w] = s
+                else:
+                    del acc[w]
+
+
+# UNIT, words ending in v(0) and words ending in v(n ≥ 1), with few enough
+# of each that products collide; small coefficients make sums cancel
+kernel_words = st.one_of(st.just(UNIT), st.tuples(st.integers(0, 2), st.just(0)),
+                         st.tuples(st.integers(0, 2), st.integers(1, 3)))
+kernel_terms = st.dictionaries(
+    kernel_words,
+    st.one_of(st.integers(-2, 2).filter(bool),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
+              .map(_exact)),
+    max_size=4,
+)
+
+
+@given(kernel_terms, kernel_terms, kernel_terms)
+@example(acc={(1, 1): -1, (0, 9): 5}, a={(0, 0): 1, UNIT: 1}, b={(0, 1): 1, (1, 1): 1})
+@example(acc={(2, 0): Fraction(1, 2)}, a={(1, 0): Fraction(-1, 2)}, b={(0, 0): 1})
+@settings(max_examples=300, deadline=None)
+def test_product_kernel_matches_its_oracle(acc, a, b):
+    # values, stored-form types and key order of acc: the first example
+    # cancels (1, 1) on v(0)·v(1) and appends it again on 1·v(0)v(1)
+    want = dict(acc)
+    _oracle_mul_into(want, a, b)
+    got = dict(acc)
+    _mul_into(got, a, b)
+    assert [(w, type(c), c) for w, c in got.items()] == \
+        [(w, type(c), c) for w, c in want.items()]
+
+
+def test_product_kernel_matches_rewriting_on_concatenated_words():
+    a, b = {(1, 2): 1}, {(2, 3): 1}
+    acc = {}
+    _mul_into(acc, a, b)
+    assert AlgebraElement(acc) == oracle_normal_form(cell_letters(((1, 2), (2, 3))))
 
 
 def test_scalar_multiplication_and_foreign_operands():

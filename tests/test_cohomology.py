@@ -211,6 +211,29 @@ def test_matrices_match_display_formulas(alpha):
         nabla2_reference_matrix(alpha, window)
 
 
+def _typed_columns(columns):
+    return [[(i, type(c), c) for i, c in col.items()] for col in columns]
+
+
+@pytest.mark.parametrize("window", [Window(6, 0), Window(9, 3)])
+def test_reference_builders_take_alpha_in_either_form(window):
+    # α as an int or as a Fraction gives the same columns, items in order
+    # and entry types, and the general form reproduces degrees 1 and 2
+    builders = [lambda a: nabla1_reference_matrix(a, window),
+                lambda a: nabla2_reference_matrix(a, window),
+                lambda a: nabla_general_reference_matrix(a, 3, window)]
+    for build in builders:
+        for alpha in (0, 1):
+            assert _typed_columns(build(alpha)) == _typed_columns(build(Fraction(alpha)))
+    for alpha in (0, 1, Fraction(0), Fraction(1), Fraction(-3, 2)):
+        columns = [build(alpha) for build in builders]
+        assert all(_stored_form(col) for cols in columns for col in cols)
+        assert _typed_columns(nabla_general_reference_matrix(alpha, 1, window)) == \
+            _typed_columns(columns[0])
+        assert _typed_columns(nabla_general_reference_matrix(alpha, 2, window)) == \
+            _typed_columns(columns[1])
+
+
 def test_assemble_matrix_shape_example():
     mod = module_m(0, 1)
     window = Window(3, 0)
