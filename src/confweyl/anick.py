@@ -17,7 +17,8 @@ slots, with no letters rebuilt: the prefix runs over single-letter slots
 so w' is one letter, the v(0) that a slot with k ≥ 1 starts with; and two
 slots concatenate to a normal word only when the left one ends in v(0).
 The slot words are the A₁ monomials y^(k+1)tⁿ of ``coeffalg``, so a slot
-product is ``coeffalg._letter_word``'s closed form.  All matched weights
+product is ``coeffalg._letter_word``'s closed form, or the single
+concatenated word when the left slot ends in v(0).  All matched weights
 are ±1 here; invertibility is still checked and a failure aborts loudly.  A
 matched edge's weight is read straight from the slot products of the split
 cell (``_merge_weight``), at the merge positions that can produce the
@@ -159,8 +160,9 @@ def bar_differential(cell):
 
     d[a₁|…|aₙ] = a₁[a₂|…|aₙ] + Σᵢ (-1)^i [a₁|…|N(aᵢaᵢ₊₁)|…|aₙ], where the
     merged slot expands linearly over the normal basis; the product of two
-    normal words is ``_letter_word``'s closed form, shifted by the left
-    word's v(0)s as it is read.  Degree-1 cells map to a₁ times the empty
+    normal words is their concatenation when the left one ends in v(0), and
+    otherwise ``_letter_word``'s closed form, shifted by the left word's
+    v(0)s as it is read.  Degree-1 cells map to a₁ times the empty
     cell (the Λ-part of B₀).  Returns a dict BarCell -> AlgebraElement, with
     integer coefficients: ``_bar_terms`` wrapped once per target.
     """
@@ -182,6 +184,9 @@ def _bar_terms(cell):
         before, after = cell[:i], cell[i + 2:]
         ka, na = cell[i]
         kb, nb = cell[i + 1]
+        if not na:  # v(0)^ka v(0) · v(0)^kb v(nb) is one word
+            _accumulate(acc, before + ((ka + kb + 1, nb),) + after, UNIT, sign)
+            continue
         for w, c in _letter_word(na, kb, nb).items():
             if ka:
                 w = (w[0] + ka, w[1])
@@ -269,7 +274,10 @@ def _merge_weight(split_cell, merged_cell):
                 continue
             (ka, na), (kb, nb) = split_cell[i], split_cell[i + 1]
             k, n = merged_cell[i]
-            c = _letter_word(na, kb, nb).get((k - ka, n), 0) if k >= ka else 0
+            if not na:  # the single word v(0)^(ka+kb+1) v(nb)
+                c = 1 if (k, n) == (ka + kb + 1, nb) else 0
+            else:
+                c = _letter_word(na, kb, nb).get((k - ka, n), 0) if k >= ka else 0
             scalar += c if i % 2 else -c
         head = split_cell[1:] == merged_cell
     else:

@@ -7,13 +7,16 @@ truncating the chain basis by sum ≤ W ("window") computes exactly what the
 untruncated complex would on every retained coordinate.  The only window
 artifact sits near the top: kernels may contain vectors whose defining
 relations lie above W.  Dimension reports therefore project kernel and
-image onto an inner window (sum ≤ W - margin) and re-run at W-1 to check
-the projected dimension has stabilized.
+image onto an inner window (sum ≤ W - margin) and compare with the same
+numbers at W-1 to check the projected dimension has stabilized.
 
 A ``WindowComplex`` holds one module's complex at one window and
 assembles each ∇ᵈ once; the report, the theorem constructions and ∇∘∇
 read those matrices.  For the same reason as above ∇ at W-1 is the sum
-≤ W-1 corner of ∇ at W, so ``restrict`` gives the re-run's complex.
+≤ W-1 corner of ∇ at W, and a row of sum ≤ k is zero on every column of
+sum > k.  So the report reads its numbers at W and at W-1 off one
+elimination per matrix, fed the low rows first
+(``WindowComplex.window_dims``).
 
 The derivation twist D has one engine path, its decrement rule
 (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``d_map``); the Morse route it comes
@@ -40,13 +43,14 @@ coefficient as an ``AlgebraElement`` only on an action-memo miss.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
 from .anick import _cached_delta_terms, enumerate_chains
 from .coeffalg import UNIT, _element, _exact
 from .modules import ModuleElement, make_module, reduce_element
-from .ratmat import RationalMatrix, rank_of_vectors
+from .ratmat import RationalMatrix, rank_profile
 
 
 @dataclass(frozen=True)
@@ -301,8 +305,7 @@ def assemble_matrix(degree, module, window):
 class WindowComplex:
     """The window complex of one module: ∇ᵈ for every degree d at sum ≤ W.
 
-    Each ∇ᵈ is assembled once, on first use, by ``assemble_matrix``; a
-    complex made by ``restrict`` reads corners of its parent's instead.  No
+    Each ∇ᵈ is assembled once, on first use, by ``assemble_matrix``.  No
     kernel is kept, so a complex holds its matrices and nothing else.
     """
 
@@ -310,52 +313,46 @@ class WindowComplex:
         self.module = make_module(module)
         self.window = window
         self._nabla = {}  # degree -> ∇ᵈ
-        self._parent = None  # the complex this one is a restriction of
 
     def nabla(self, degree):
         """∇ᵈ, with (chain, coordinate) labels on both sides."""
         got = self._nabla.get(degree)
         if got is None:
-            if self._parent is None:
-                got = assemble_matrix(degree, self.module, self.window)
-            else:
-                # labels run in (sum, lex) order, so the rows and columns
-                # with sum ≤ W are a prefix on both sides
-                whole, W = self._parent.nabla(degree), self.window.W
-                nrows = sum(1 for chain, _ in whole.row_labels if sum(chain) <= W)
-                ncols = sum(1 for chain, _ in whole.col_labels if sum(chain) <= W)
-                columns = [{i: v for i, v in col.items() if i < nrows}
-                           for col in whole.columns[:ncols]]
-                got = RationalMatrix(nrows, ncols, columns,
-                                     whole.row_labels[:nrows], whole.col_labels[:ncols])
-            self._nabla[degree] = got
+            got = self._nabla[degree] = assemble_matrix(degree, self.module, self.window)
         return got
 
     def index(self, degree):
         """(chain, coordinate) → position in degree d: ∇ᵈ's columns, ∇ᵈ⁻¹'s rows."""
         return {lab: j for j, lab in enumerate(self.nabla(degree).col_labels)}
 
-    def restrict(self, window):
-        """The complex at a smaller window, read off this one.
+    def window_dims(self, n):
+        """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) at W, then at W-1.
 
-        Neither δ nor the reduction raises the index sum, so the sum ≤ W′
-        corner of ∇ᵈ at W equals ∇ᵈ assembled at W′.
+        With lo the columns of A = ∇ⁿ at sum ≤ inner and hi those above,
+        dim proj(ker A) = |lo| − rank A + rank A_hi, and dim proj(im ∇ⁿ⁻¹) is
+        the rank of ∇ⁿ⁻¹'s rows at sum ≤ inner.  Labels run in (sum, lex)
+        order, and a row of sum ≤ k is zero on the columns of sum > k, so
+        one elimination per matrix gives both windows:
+
+        - A's columns go in by decreasing sum, which makes every "sum > k" a
+          leading block, whose rank is the number of leads left of it;
+        - its rows of sum ≤ W-1 go in first: they are ∇ⁿ at W-1, whose
+          numbers are read before the rows of sum W are added;
+        - likewise ∇ⁿ⁻¹'s rows of sum ≤ inner-1, then those of sum inner.
         """
-        if window.W > self.window.W:
-            raise ValueError("can only restrict to a window no larger than W")
-        smaller = WindowComplex(self.module, window)
-        smaller._parent = self
-        return smaller
-
-    def projected_dims(self, n):
-        """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) on the inner window."""
         inner = self.window.inner
         a_n, a_prev = self.nabla(n), self.nabla(n - 1)
-        kernel = a_n.nullspace()
-        col_keep = [sum(chain) <= inner for (chain, _) in a_n.col_labels]
-        row_keep = [sum(chain) <= inner for (chain, _) in a_prev.row_labels]
-        return (rank_of_vectors(kernel, lambda j: col_keep[j]),
-                a_prev.rank(lambda i: row_keep[i]))
+        # the degree-n sums: ∇ⁿ's columns and ∇ⁿ⁻¹'s rows, nondecreasing
+        sums = [sum(chain) for chain, _ in a_n.col_labels]
+        lo = [bisect_right(sums, k) for k in (inner - 1, inner)]  # |lo| at W-1, at W
+        order = sorted(range(a_n.ncols), key=lambda j: -sums[j])  # stable: lex kept
+        row_sums = [sum(chain) for chain, _ in a_n.row_labels]
+        batches = _row_batches(a_n, (bisect_right(row_sums, self.window.W - 1), a_n.nrows),
+                               order)
+        (rank2, hi2), (rank, hi) = rank_profile(batches, [a_n.ncols - k for k in lo])
+        batches = _row_batches(a_prev, lo, range(a_prev.ncols))
+        (im2, _), (im, _) = rank_profile(batches, ())
+        return (lo[1] - rank + hi[1], im), (lo[0] - rank2 + hi2[0], im2)
 
     def report(self, n):
         """The H^n dimension report of ``cohomology_dim``."""
@@ -364,9 +361,8 @@ class WindowComplex:
             raise ValueError("cohomology degree must be >= 1")
         if window.W - 1 < window.margin:
             raise ValueError("window too small for the stability re-run at W-1")
-        dim_ker, dim_im = self.projected_dims(n)
+        (dim_ker, dim_im), (dim_ker2, dim_im2) = self.window_dims(n)
         dim_h = dim_ker - dim_im
-        dim_ker2, dim_im2 = self.restrict(window.shrink()).projected_dims(n)
         stable = (dim_ker2 - dim_im2) == dim_h
         # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
         counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
@@ -433,7 +429,8 @@ def cohomology_dim(n, module, window):
     dim_H = dim proj(ker ∇ⁿ) - dim proj(im ∇ⁿ⁻¹), both projected onto the
     inner window; stable means the same dim_H results at window W-1.  The
     W-1 matrices are the sum ≤ W-1 corners of the ones at W, so ∇ⁿ and
-    ∇ⁿ⁻¹ are each assembled once.
+    ∇ⁿ⁻¹ are each assembled once and eliminated once, and the W-1 numbers
+    are read midway through the same eliminations.
     """
     return WindowComplex(module, window).report(n)
 
@@ -449,6 +446,18 @@ def verify_theorem_constructions(module, n, window):
     chain where the construction misses.
     """
     return WindowComplex(module, window).constructions(n)
+
+
+def _row_batches(matrix, ends, order):
+    """The rows of ``matrix`` before ``ends[0]``, then from there to ``ends[1]``,
+    …, as fresh sparse rows; column ``order[p]`` becomes column p."""
+    top = ends[-1]
+    rows = [{} for _ in range(top)]
+    for p, j in enumerate(order):
+        for i, v in matrix.columns[j].items():
+            if i < top:
+                rows[i][p] = v
+    return [rows[start:end] for start, end in zip((0, *ends), ends)]
 
 
 def _first_mismatch(got, want, labels, inner):

@@ -28,10 +28,17 @@ the other leads, which makes it *the* RREF row, and primitivity with L > 0
 puts it in lowest terms.  So the result is exact by construction, and the
 ranks and kernel vectors depend neither on row order nor on the size of
 the entries.
+
+The elimination can go on from a basis it returned, so rows may arrive in
+batches.  ``rank_profile`` reads, after each batch, the rank of the rows
+so far and the rank of each leading block of columns: in an RREF the
+first c columns have rank equal to the number of leads left of c (the
+column rank profile; Dumas, Pernet & Sultan, ISSAC 2013).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm
 
@@ -103,19 +110,38 @@ def rank_of_vectors(vectors, coord_filter=None):
     return len(_exact_rref(vectors))
 
 
-def _exact_rref(rows):
+def rank_profile(batches, cuts):
+    """(rank, [leads left of each cut]) after each batch of fresh sparse rows.
+
+    One elimination takes the batches in turn, so each entry describes all
+    the rows up to and including its batch; the count for a cut c is the
+    rank of those rows on the columns 0..c-1.  The batches are emptied.
+    """
+    basis = {}
+    profile = []
+    for rows in batches:
+        _exact_rref(rows, basis)
+        leads = sorted(basis)
+        profile.append((len(leads), [bisect_left(leads, c) for c in cuts]))
+    return profile
+
+
+def _exact_rref(rows, basis=None):
     """The RREF over Q of fresh sparse rows, as {lead: (numerators, denominator)}.
 
     Row ``lead`` of the RREF is 1 at the lead plus numerators/denominator,
     integers at the free columns, in lowest terms with the denominator > 0.
     The rows, empty ones allowed, are scaled to integers and reduced in
-    place, and the list is emptied.
+    place, and the list is emptied.  Given a ``basis`` this function
+    returned, the rows are added to it in place: the result is the RREF of
+    its rows and the new ones together.
     """
     for row in rows:
         _scale_to_integers(row)
     rows.sort(key=lambda row: (min(row, default=-1), len(row)))  # popped from the end
-    basis = {}
-    low = inf  # the smallest lead in the basis
+    if basis is None:
+        basis = {}
+    low = min(basis, default=inf)  # the smallest lead in the basis
     while rows:
         row = rows.pop()
         for lead in [j for j in row if j in basis]:

@@ -118,6 +118,10 @@ _GOLDEN = Path(__file__).parent / "golden"
     # α = 1 at degree 6: a large report whose kernel and image are both 126
     (("cohomology", "--degree", "6", "--module", "M(alpha=1,delta=1)", "--window", "12"),
      "cohomology_h6_m11.json"),
+    # margin 0: the window's top artifacts stay in, and the report is not stable
+    (("cohomology", "--degree", "3", "--module", "ext(alpha=0,beta=1,gamma=1)", "--window", "7",
+      "--margin", "0"),
+     "cohomology_ext_h3_margin0.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the

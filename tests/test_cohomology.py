@@ -2,7 +2,7 @@ from fractions import Fraction
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confweyl import coeffalg, cohomology, ratmat, verify
@@ -242,8 +242,6 @@ def test_assemble_matrix_shape_example():
     assert a.nrows == len(enumerate_chains(2, 3)) == 6
     a0 = assemble_matrix(0, mod, window)
     assert a0.ncols == 1  # constants
-    with pytest.raises(ValueError):
-        WindowComplex(mod, window).restrict(Window(4, 0))
 
 
 def test_cohomology_dim_reports():
@@ -464,20 +462,24 @@ def test_assemble_matrix_matches_column_oracle(module, degree, W):
 
 
 @settings(max_examples=40, deadline=None)
-@given(module=st.one_of(_modules, _matrix_modules), degree=st.integers(1, 4),
-       W=st.integers(3, 7), margin=st.integers(0, 3))
-def test_restriction_equals_smaller_window(module, degree, W, margin):
-    # the W-1 complex read off the one at W, against one assembled at W-1
-    smaller = Window(W - 1, min(margin, W - 1))
-    restricted = WindowComplex(module, Window(W, smaller.margin)).restrict(smaller)
-    direct = WindowComplex(module, smaller)
-    for d in (degree - 1, degree):
-        got, want = restricted.nabla(d), direct.nabla(d)
-        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
-        assert got.row_labels == want.row_labels
-        assert got.col_labels == want.col_labels
-        assert got.columns == want.columns
-    assert restricted.projected_dims(degree) == direct.projected_dims(degree)
+@given(module=st.one_of(_modules, _matrix_modules), degree=st.integers(0, 4),
+       W=st.integers(3, 7), smaller=st.integers(0, 6))
+def test_restriction_equals_smaller_window(module, degree, W, smaller):
+    # the sum ≤ W′ corner of ∇ at W is ∇ assembled at W′: labels run in
+    # (sum, lex) order, so the corner is a prefix of the rows and columns,
+    # and no row of sum ≤ W′ has an entry in a column of sum > W′, which is
+    # what lets the report read W-1 midway through one elimination
+    W_small = min(smaller, W - 1)
+    whole = assemble_matrix(degree, module, Window(W, 0))
+    want = assemble_matrix(degree, module, Window(W_small, 0))
+    nrows = sum(1 for chain, _ in whole.row_labels if sum(chain) <= W_small)
+    ncols = sum(1 for chain, _ in whole.col_labels if sum(chain) <= W_small)
+    assert (nrows, ncols) == (want.nrows, want.ncols)
+    assert whole.row_labels[:nrows] == want.row_labels
+    assert whole.col_labels[:ncols] == want.col_labels
+    assert [{i: v for i, v in col.items() if i < nrows} for col in whole.columns[:ncols]] \
+        == want.columns
+    assert all(i >= nrows for col in whole.columns[ncols:] for i in col)
 
 
 # 2×2 integer matrices of determinant ±1, so each has an integer inverse
@@ -493,6 +495,11 @@ def _conjugate(S, X):
     return _matmul(_matmul(S, X), inverse)
 
 
+def _conjugated(module, S):
+    """The module (SES⁻¹, SBS⁻¹, SCS⁻¹)."""
+    return _matrix_module(*(_conjugate(S, X) for X in (module.E, module.B, module.C)))
+
+
 @settings(max_examples=20, deadline=None)
 @given(params=st.tuples(_rationals, _rationals, _rationals), S=st.sampled_from(_UNIMODULAR),
        degree=st.integers(1, 3), W=st.integers(3, 7), margin=st.integers(0, 3))
@@ -502,11 +509,44 @@ def test_report_is_invariant_under_conjugation(params, S, degree, W, margin):
     # dimension matches
     window = Window(W, min(margin, W - 1))
     module = module_ext(*params)
-    conjugated = _matrix_module(*(_conjugate(S, X) for X in (module.E, module.B, module.C)))
+    conjugated = _conjugated(module, S)
     want = cohomology_dim(degree, module, window)
     got = cohomology_dim(degree, conjugated, window)
     assert got.pop("module") == conjugated.spec and want.pop("module") == module.spec
     assert got == want
+
+
+def _oracle_projected_dims(module, n, window):
+    """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) on the inner window, from a kernel
+    basis: ``nullspace``, projected, then ``rank_of_vectors``."""
+    a_n, a_prev = assemble_matrix(n, module, window), assemble_matrix(n - 1, module, window)
+    col_keep = [sum(chain) <= window.inner for chain, _ in a_n.col_labels]
+    row_keep = [sum(chain) <= window.inner for chain, _ in a_prev.row_labels]
+    return (rank_of_vectors(a_n.nullspace(), lambda j: col_keep[j]),
+            a_prev.rank(lambda i: row_keep[i]))
+
+
+_conjugated_modules = st.builds(lambda params, S: _conjugated(module_ext(*params), S),
+                                st.tuples(_rationals, _rationals, _rationals),
+                                st.sampled_from(_UNIMODULAR))
+
+
+@settings(max_examples=60, deadline=None)
+@given(module=st.one_of(_modules, _matrix_modules, _conjugated_modules),
+       degree=st.integers(1, 4), W=st.integers(1, 8), margin=st.integers(0, 3))
+@example(module=module_ext(0, 1, 1), degree=3, W=3, margin=0)  # not stable
+def test_report_matches_the_kernel_basis_oracle(module, degree, W, margin):
+    # the four numbers read off one elimination per matrix, against a kernel
+    # basis at W and a second assembly at W-1
+    window = Window(W, min(margin, W - 1))
+    at_w = _oracle_projected_dims(module, degree, window)
+    below = _oracle_projected_dims(module, degree, window.shrink())
+    complex_ = WindowComplex(module, window)
+    assert complex_.window_dims(degree) == (at_w, below)
+    rep = complex_.report(degree)
+    assert (rep["dim_ker_proj"], rep["dim_im_proj"], rep["dim_H"]) \
+        == (*at_w, at_w[0] - at_w[1])
+    assert rep["stable"] == (below[0] - below[1] == at_w[0] - at_w[1])
 
 
 def _count_assemblies(monkeypatch):
@@ -527,8 +567,9 @@ def test_complex_assembles_each_nabla_once(monkeypatch):
     assert complex_.report(3)["dim_H"] == 0
     assert complex_.constructions(3) == (True, [])
     assert sorted(calls) == [2, 3]
-    # the W-1 complex reads these matrices; ∇∘∇ assembles each of ∇⁰…∇⁴ once
-    assert complex_.restrict(Window(8, 3)).nabla(3).ncols == len(enumerate_chains(3, 8))
+    # the W-1 numbers come from the same matrices; ∇∘∇ assembles ∇⁰…∇⁴ once
+    assert complex_.report(3)["stable"]
+    assert sorted(calls) == [2, 3]
     check_nabla_squared(max_degree=3, window_sum=6)
     assert sorted(calls) == [0, 1, 2, 2, 3, 3, 4]
 
@@ -589,7 +630,7 @@ def _fraction_route(ncols, rows):
 @settings(max_examples=40, deadline=None)
 @given(module=_modules, degree=st.integers(1, 4), W=st.integers(4, 7))
 def test_elimination_matches_dense_fraction_oracle(module, degree, W):
-    # the ratmat calls of cohomology_dim, each against the dense oracle
+    # the ratmat calls of ``_oracle_projected_dims``, each against the dense oracle
     window = Window(W)
     a_n = assemble_matrix(degree, module, window)
     a_prev = assemble_matrix(degree - 1, module, window)

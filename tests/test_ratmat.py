@@ -218,3 +218,52 @@ def test_non_unit_leads_match_dense_oracle(matrix, data):
     projected = [[x if j in coords else Fraction(0) for j, x in enumerate(row)] for row in rows]
     assert rank_of_vectors(vectors) == len(pivots)
     assert rank_of_vectors(vectors, lambda j: j in coords) == _oracle_rank(ncols, projected)
+
+
+def _stored(rows, as_int):
+    """Sparse rows {col: value}; integral values become ints where ``as_int``."""
+    return [{j: x.numerator if keep and x.denominator == 1 else x
+             for j, x in enumerate(row) if x}
+            for row, keep in zip(rows, as_int)]
+
+
+@given(st.one_of(sparse_matrices(), tall_integer_matrices()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_profile_matches_submatrix_ranks(matrix, data):
+    # after each batch: the rank of every row so far, and for each cut c the
+    # rank of those rows on the columns left of c
+    ncols, rows = matrix
+    as_int = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    ends = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    ends.append(len(rows))  # repeated ends make empty batches
+    cuts = [0, ncols] + data.draw(st.lists(st.integers(0, ncols), max_size=3))
+    batches = [_stored(rows[start:end], as_int[start:end])
+               for start, end in zip([0] + ends, ends)]
+    profile = ratmat.rank_profile(batches, cuts)
+    assert len(profile) == len(ends)
+    for end, (rank, leads) in zip(ends, profile):
+        assert rank == _oracle_rank(ncols, rows[:end])
+        assert leads == [_oracle_rank(c, [row[:c] for row in rows[:end]]) for c in cuts]
+    assert not any(batches)  # each batch is emptied
+
+
+@pytest.mark.parametrize("batches, cuts, want", [
+    # empty rows and empty batches read rank 0 at every cut
+    ([[], [{}], []], [0, 3], [(0, [0, 0]), (0, [0, 0]), (0, [0, 0])]),
+    # the second row reduces against lead 2 to a new lead 0, left of every cut but 0
+    ([[{2: 1}], [], [{0: Fraction(1, 2), 2: 3}, {}]], [0, 1, 2, 3],
+     [(1, [0, 0, 0, 1]), (1, [0, 0, 0, 1]), (2, [0, 1, 1, 2])]),
+])
+def test_rank_profile_pinned(batches, cuts, want):
+    assert ratmat.rank_profile(batches, cuts) == want
+
+
+@given(st.one_of(sparse_matrices(), tall_integer_matrices()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_continued_elimination_equals_one_call(matrix, data):
+    ncols, rows = matrix
+    as_int = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    split = data.draw(st.integers(0, len(rows)))
+    basis = ratmat._exact_rref(_stored(rows[:split], as_int[:split]))
+    assert ratmat._exact_rref(_stored(rows[split:], as_int[split:]), basis) is basis
+    assert basis == ratmat._exact_rref(_stored(rows, as_int))
