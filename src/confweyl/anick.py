@@ -43,7 +43,7 @@ and so do the resolution checks in ``checks``.  ``bar_differential``,
 ``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
 at return; ∇ assembly and Δ read δ unwrapped, from ``_cached_delta_terms``.
 
-The derivation twist D is not built here.  ``cohomology.d_map`` applies
+The derivation twist D is not built here.  ``checks.d_map`` applies
 its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
 ``bar_derivation`` and the derivation of Λ) survives only as the oracle
 ``checks.oracle_twist_terms``.
@@ -508,7 +508,7 @@ def clear_caches():
     ``checks.check_delta_squared`` is local to one degree of the check and
     needs no clearing.  Products in Λ keep no table
     (``coeffalg._letter_word`` is a closed form), and the derivation twist
-    keeps none either: ``cohomology.d_map`` applies its decrement rule
+    keeps none either: ``checks.d_map`` applies its decrement rule
     directly."""
     _f_memo.clear()
     _delta_cache.clear()

@@ -6,11 +6,22 @@ chosen position, repeat to a fixpoint) as an oracle independent of the
 closed-form engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
 definition, the reference the tests hold ``anick.is_chain`` to, and
 ``oracle_twist_terms`` is the Morse route to the derivation twist D, the
-reference for the decrement rule in ``cohomology.d_map``.
+reference for its decrement rule in ``d_map``.
 ``oracle_associativity_residual`` expands a module's associativity identity
 symbolically through a λ-action built from E, B, C at call time, the
 reference for the matrix check ``modules._validate``.  No engine path calls
 any of them.
+
+The symbolic cochain oracle is the route that ∇ assembly collapses:
+``Cochain`` and ``ScalarCochain`` valued in ``ModuleElement`` vectors of
+∂-polynomials, Δ (``hochschild_delta``), D by its decrement rule
+(``d_map``), the canonical scalar reduction (``reduce_cochain``,
+``reduce_element``) and ∇ on one cochain (``reduced_delta``, the
+per-column oracle of ``cohomology.assemble_matrix``).  A ``SymbolicModule``
+wraps a ``FiniteModule``: it carries the letter action by Taylor's formula
+(``act_vn``, ``act_word``, ``act_algebra``) and owns Δ's action memo, one
+per check call.  ``check_locality_compat`` is the λ-degree criterion for
+M(α,Δ).
 
 The resolution suites (``check_delta_squared``, ``check_morse_closed``,
 ``check_fdg``, ``check_fg_identity``) read and accumulate the raw
@@ -36,9 +47,9 @@ from fractions import Fraction
 import itertools
 import random
 
-from . import modules
 from .anick import (
     _bar_terms,
+    _cached_delta_terms,
     _closed_delta_terms,
     _combine,
     _g_terms,
@@ -52,18 +63,18 @@ from .anick import (
     homotopy_g,
     matched_edge,
 )
-from .coeffalg import UNIT, AlgebraElement, derivation as lambda_derivation, normal_form
-from .cohomology import (
-    Cochain,
-    Window,
-    WindowComplex,
-    d_map,
-    hochschild_delta,
-    reduce_cochain,
+from .coeffalg import (
+    UNIT,
+    AlgebraElement,
+    _element,
+    _exact,
+    derivation as lambda_derivation,
+    normal_form,
 )
+from .cohomology import Window, WindowComplex, _decrements
 from .conformal import ConformalElement, check_associativity, lambda_product, n_product
 from .modules import make_module
-from .poly import Poly, D, L, M as MU
+from .poly import Poly, D, L, M as MU, split_constant
 
 
 # -- naive rewriting oracle ----------------------------------------------------------
@@ -468,13 +479,315 @@ SHIPPED_MODULES = (
 )
 
 
+# -- symbolic cochain oracle ---------------------------------------------------------------
+
+class ModuleElement:
+    """Vector of coordinate polynomials over a fixed free module."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        self.coords = tuple(coords)
+
+    @classmethod
+    def zero(cls, rank):
+        return cls((Poly.zero(),) * rank)
+
+    @classmethod
+    def constants(cls, values):
+        return cls(tuple(Poly.const(v) for v in values))
+
+    def __add__(self, other):
+        return ModuleElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        return ModuleElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return ModuleElement(tuple(-a for a in self.coords))
+
+    def scale(self, q):
+        return ModuleElement(tuple(a * q for a in self.coords))
+
+    def poly_mul(self, p):
+        return ModuleElement(tuple(a * p for a in self.coords))
+
+    def is_zero(self):
+        return all(a.is_zero() for a in self.coords)
+
+    def __eq__(self, other):
+        return isinstance(other, ModuleElement) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __str__(self):
+        names = ("u", "w", "x", "y")
+        parts = []
+        for i, a in enumerate(self.coords):
+            if a.is_zero():
+                continue
+            name = names[i] if i < len(names) else f"e{i}"
+            parts.append(f"({a}){name}")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"ModuleElement({str(self)})"
+
+
+def reduce_element(m):
+    """Coordinate-wise split f = c + ∂·g; returns (constants, quotient)."""
+    split = [split_constant(f) for f in m.coords]
+    return tuple(c for c, _ in split), ModuleElement(g for _, g in split)
+
+
+class SymbolicModule:
+    """A ``FiniteModule`` (or its spec) acting on vectors of ∂-polynomials.
+
+    Reads the module's E, B, C and owns the action memo that Δ fills, so
+    the memo is freed with it.
+    """
+
+    def __init__(self, module):
+        self.module = make_module(module)
+        self.rank, self.spec = self.module.rank, self.module.spec
+        self.E, self.B, self.C = self.module.E, self.module.B, self.module.C
+        # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``_act``)
+        self.action_memo = {}
+
+    def zero(self):
+        return ModuleElement.zero(self.rank)
+
+    def basis(self):
+        return [ModuleElement(Poly.one() if i == j else Poly.zero() for i in range(self.rank))
+                for j in range(self.rank)]
+
+    def element(self, *coords):
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        return ModuleElement(c if isinstance(c, Poly) else Poly.const(c) for c in coords)
+
+    def act_vn(self, n, m):
+        """Action of the letter v(n) by Taylor's formula.
+
+        v(n)·m is n! times the λⁿ part of v ∘λ m, and v ∘λ (f eⱼ) =
+        Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) f(∂+λ) eᵢ with f(∂+λ) = Σₖ f⁽ᵏ⁾(∂) λᵏ/k!, so
+
+            v(n)·F = (E∂ + C)F⁽ⁿ⁾ + n·B·F⁽ⁿ⁻¹⁾
+
+        (the B term is absent for n = 0): two derivatives of each coordinate
+        and no shift or λ-split.  A coordinate of m that carries λ raises
+        ``ValueError``: the letter acts on ∂-polynomials only.
+        """
+        if any(f.degree("l") > 0 for f in m.coords):
+            raise ValueError("act_vn expects coordinates free of λ")
+        lower = [f.derivative("d", n - 1) for f in m.coords] if n else None
+        high = [f.derivative("d") for f in lower] if n else m.coords
+        out = []
+        for i in range(self.rank):
+            acc = Poly.zero()
+            for j, f in enumerate(high):
+                e, c = self.E[i][j], self.C[i][j]
+                if f and (e or c):
+                    acc = acc + f * (D * e + c)
+                if n and self.B[i][j] and lower[j]:
+                    acc = acc + lower[j] * (n * self.B[i][j])
+            out.append(acc)
+        return ModuleElement(out)
+
+    def act_word(self, word, m):
+        """Action of a normal word; the rightmost letter acts first."""
+        if word is UNIT:
+            return m
+        k, n = word
+        m = self.act_vn(n, m)
+        for _ in range(k):
+            m = self.act_vn(0, m)
+        return m
+
+    def act_algebra(self, x, m):
+        """Action of an element of Λ (linear over words; 1 acts as identity)."""
+        out = self.zero()
+        for w, c in x.terms.items():
+            out = out + self.act_word(w, m).scale(c)
+        return out
+
+    def derivation(self, m):
+        """∂ on the free module: multiply every coordinate by ∂."""
+        return m.poly_mul(D)
+
+
+def check_locality_compat(alpha, delta):
+    """λ-degree criterion for M(α,Δ) to carry the locality-2 product.
+
+    Expands (α+∂+λ+Δ(μ-λ))(α+∂+Δλ) — the value of (v ∘λ v) ∘μ u computed
+    through the inner action — and checks the λ-degree stays below 2.
+    """
+    base = Poly.const(alpha) + D
+    expr = (base + L + (MU - L) * delta) * (base + L * delta)
+    return expr.degree("l") < 2
+
+
+class Cochain:
+    """Degree-n cochain: map degree-n chains -> module elements.
+
+    Degree 0 uses the empty chain () as its single key.
+    """
+
+    __slots__ = ("degree", "module", "values")
+
+    def __init__(self, degree, module, values=None):
+        self.degree = degree
+        self.module = module
+        self.values = {}
+        if values:
+            for chain, el in values.items():
+                if not el.is_zero():
+                    self.values[chain] = el
+
+    def value(self, chain):
+        got = self.values.get(chain)
+        return got if got is not None else self.module.zero()
+
+    def __eq__(self, other):
+        return (isinstance(other, Cochain) and self.degree == other.degree
+                and self.values == other.values)
+
+    def is_zero(self):
+        return not self.values
+
+
+class ScalarCochain:
+    """Canonical representative: map chains -> rank-vectors of rationals."""
+
+    __slots__ = ("degree", "module", "values")
+
+    def __init__(self, degree, module, values=None):
+        self.degree = degree
+        self.module = module
+        self.values = {}
+        if values:
+            for chain, vec in values.items():
+                vec = tuple(map(_exact, vec))
+                if any(vec):
+                    self.values[chain] = vec
+
+    def value(self, chain):
+        got = self.values.get(chain)
+        return got if got is not None else (0,) * self.module.rank
+
+    def include(self):
+        """Embed back as a constant-valued Cochain."""
+        return Cochain(self.degree, self.module,
+                       {c: ModuleElement.constants(v) for c, v in self.values.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, ScalarCochain) and self.degree == other.degree
+                and self.values == other.values)
+
+    def is_zero(self):
+        return not self.values
+
+
+def _act(module, terms, val):
+    """x·val for x ∈ Λ given by its raw terms, through the module's own
+    action memo, keyed by (x's frozen items, val)."""
+    key = (frozenset(terms.items()), val)
+    got = module.action_memo.get(key)
+    if got is None:
+        got = module.action_memo[key] = module.act_algebra(_element(terms), val)
+    return got
+
+
+def hochschild_delta(phi, window):
+    """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
+
+    The action of each δ coefficient on each value is memoised per module
+    (``SymbolicModule.action_memo``).
+    """
+    module = phi.module
+    out = {}
+    for x in enumerate_chains(phi.degree + 1, window.W):
+        acc = module.zero()
+        for y, terms in _cached_delta_terms(x).items():
+            val = phi.values.get(y)
+            if val is not None:
+                acc = acc + _act(module, terms, val)
+        if not acc.is_zero():
+            out[x] = acc
+    return Cochain(phi.degree + 1, module, out)
+
+
+def d_map(phi, window):
+    """Derivation-twist Dⁿ on cochains, by its decrement rule.
+
+    (Dⁿφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] for every chain c in the window,
+    where dec_k lowers the k-th index by one and terms that leave the chains
+    drop out.  Degree 0 is ∂ on M.  This is the differential-algebra Morse
+    route collapsed to its terms; ``oracle_twist_terms`` keeps that route
+    as the reference.
+
+    Only φ's chains b and their increments are visited: c = inc_k b is
+    always a chain, dec_k c = b, and its term has coefficient c_k = b_k + 1.
+    """
+    module = phi.module
+    if phi.degree == 0:
+        return Cochain(0, module, {(): module.derivation(phi.value(()))})
+    out = {}
+    for b, val in phi.values.items():
+        level = sum(b)
+        if level > window.W:
+            continue
+        out[b] = out[b] + module.derivation(val) if b in out else module.derivation(val)
+        if level == window.W:
+            continue
+        for k, i in enumerate(b):
+            c = b[:k] + (i + 1,) + b[k + 1:]
+            add = val.scale(i + 1)
+            out[c] = out[c] + add if c in out else add
+    return Cochain(phi.degree, module, out)
+
+
+def reduce_cochain(phi, window):
+    """Unique (s, h) with φ - Dⁿh = s scalar-valued on the window."""
+    module = phi.module
+    if phi.degree == 0:
+        consts, quot = reduce_element(phi.value(()))
+        return (ScalarCochain(0, module, {(): consts}),
+                Cochain(0, module, {(): quot}))
+    svals = {}
+    hvals = {}
+    for c in enumerate_chains(phi.degree, window.W):
+        b = phi.values.get(c, module.zero())
+        for _, i, dec in _decrements(c):
+            hv = hvals.get(dec)
+            if hv is not None:
+                b = b - hv.scale(i)
+        if b.is_zero():
+            continue
+        consts, quot = reduce_element(b)
+        if any(consts):
+            svals[c] = consts
+        if not quot.is_zero():
+            hvals[c] = quot
+    return (ScalarCochain(phi.degree, module, svals),
+            Cochain(phi.degree, module, hvals))
+
+
+def reduced_delta(s, window):
+    """∇ⁿ: the reduced differential on canonical scalar cochains."""
+    delta = hochschild_delta(s.include(), window)
+    reduced, _ = reduce_cochain(delta, window)
+    return reduced
+
+
 # -- symbolic module-action oracle ---------------------------------------------------------
 
 def _split_lambda(coords):
     split = [f.coeffs_in("l") for f in coords]
     out = {}
     for deg in set().union(*split):
-        vec = modules.ModuleElement(tuple(parts.get(deg, Poly.zero()) for parts in split))
+        vec = ModuleElement(tuple(parts.get(deg, Poly.zero()) for parts in split))
         if not vec.is_zero():
             out[deg] = vec
     return out
@@ -526,7 +839,7 @@ def oracle_associativity_residual(module, m):
     Every coordinate is zero exactly when associativity holds on m.
     """
     # inner action in μ: substitute λ -> μ in the split result
-    inner = {deg: modules.ModuleElement(tuple(c.subs("l", MU) for c in el.coords))
+    inner = {deg: ModuleElement(tuple(c.subs("l", MU) for c in el.coords))
              for deg, el in oracle_act_v_lambda(module, m).items()}
     lhs = [Poly.zero()] * module.rank
     for deg, el in inner.items():
@@ -548,14 +861,14 @@ def check_module_axioms():
     rng = random.Random(7)
     failures = []
     for spec in SHIPPED_MODULES:
-        mod = make_module(spec)  # construction itself validates on the basis
+        mod = SymbolicModule(spec)  # construction itself validates on the basis
         for trial in range(3):
             coords = []
             for _ in range(mod.rank):
                 terms = {(rng.randint(0, 4), 0, 0, 0): rng.randint(-3, 3)
                          for _ in range(3)}
                 coords.append(Poly(terms))
-            m = modules.ModuleElement(tuple(coords))
+            m = ModuleElement(tuple(coords))
             if any(oracle_associativity_residual(mod, m)):
                 failures.append((spec, "associativity", trial))
             # ∂(v(n)·m) = -n v(n-1)·m + v(n)·∂m
@@ -574,14 +887,14 @@ def check_module_axioms():
 
 def check_chain_map(max_degree=3, window_sum=8, module="M(alpha=1,delta=1)"):
     """Dⁿ⁺¹∘Δⁿ = Δⁿ∘Dⁿ on monomial basis cochains ∂ᵏeⱼ, k ≤ 3, within the window."""
-    mod = make_module(module)
+    mod = SymbolicModule(module)
     window = Window(window_sum, 0)
     failures = []
     for degree in range(0, max_degree + 1):
         for chain in enumerate_chains(degree, window_sum):
             for j in range(mod.rank):
                 for k in range(4):
-                    value = modules.ModuleElement(
+                    value = ModuleElement(
                         tuple(D ** k if i == j else Poly.zero() for i in range(mod.rank)))
                     phi = Cochain(degree, mod, {chain: value})
                     lhs = d_map(hochschild_delta(phi, window), window)
@@ -611,7 +924,7 @@ def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11
                               trials=25):
     """s + Dⁿh rebuilds φ on the window; reducing a D-image gives 0."""
     rng = random.Random(seed)
-    mod = make_module(module)
+    mod = SymbolicModule(module)
     window = Window(window_sum, 0)
     failures = []
     for trial in range(trials):
@@ -622,7 +935,7 @@ def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11
             coords = tuple(
                 Poly({(rng.randint(0, 3), 0, 0, 0): rng.randint(-2, 2)})
                 for _ in range(mod.rank))
-            el = modules.ModuleElement(coords)
+            el = ModuleElement(coords)
             if not el.is_zero():
                 values[chain] = el
         phi = Cochain(degree, mod, values)

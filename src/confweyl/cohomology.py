@@ -18,27 +18,24 @@ sum > k.  So the report reads its numbers at W and at W-1 off one
 elimination per matrix, fed the low rows first
 (``WindowComplex.window_dims``).
 
-The derivation twist D has one engine path, its decrement rule
-(Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``d_map``); the Morse route it comes
-from is the oracle ``checks.oracle_twist_terms``.  The scalar reduction is
-the canonical one: processing chains in (sum, lex) order, peel
-b = φ[c] - Σ_k i_k·h[c with i_k decremented] and split b = s[c] + ∂·h[c].
-The resulting s is the unique scalar-valued representative of φ modulo D,
-and the reduced differential ∇ = reduce ∘ Δ ∘ include is canonical.
-``reduced_delta`` applies it to one cochain; ``assemble_matrix`` builds
-every column of ∇ⁿ in one pass over the degree-(n+1) chains with no module
-arithmetic.  Every module acts by v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and
-δ's coefficients hold only 1 and letters v(n), so on the delta-function
-basis the reduction's ∂-quotients are constants read one sum down and
+The differential ∇ = reduce ∘ Δ ∘ include is canonical: processing chains
+in (sum, lex) order, the scalar reduction peels
+b = φ[c] - Σ_k i_k·h[c with i_k decremented] and splits b = s[c] + ∂·h[c],
+and s is the unique scalar-valued representative of φ modulo the
+derivation twist (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``_decrements``).
+``assemble_matrix`` builds every column of ∇ⁿ in one pass over the
+degree-(n+1) chains with no module arithmetic.  Every module acts by
+v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and δ's coefficients hold only 1 and
+letters v(n), so on the delta-function basis the reduction's ∂-quotients
+are constants read one sum down and
 
     ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
 
 with S, L, Q the coefficients of 1, v(1), v(0) in δ(x) at y and
-T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y.  The ``Poly`` route of ``reduced_delta``
-is the per-column oracle in the tests.  Both keep ``coeffalg._exact``'s
-stored form, so ``ratmat`` gets integral rows as ints.  Δ and the pass
-read δ's raw terms from ``anick._cached_delta_terms``; Δ wraps a
-coefficient as an ``AlgebraElement`` only on an action-memo miss.
+T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y, read from ``anick._cached_delta_terms``.
+The entries keep ``coeffalg._exact``'s stored form, so ``ratmat`` gets
+integral rows as ints.  The symbolic route on cochains of ∂-polynomials
+(``checks.reduced_delta``) is the per-column oracle in the tests.
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .anick import _cached_delta_terms, enumerate_chains
-from .coeffalg import UNIT, _element, _exact
-from .modules import ModuleElement, make_module, reduce_element
+from .coeffalg import UNIT, _exact
+from .modules import make_module
 from .ratmat import RationalMatrix, rank_profile
 
 
@@ -72,98 +69,6 @@ class Window:
         return Window(self.W - 1, self.margin)
 
 
-class Cochain:
-    """Degree-n cochain: map degree-n chains -> module elements.
-
-    Degree 0 uses the empty chain () as its single key.
-    """
-
-    __slots__ = ("degree", "module", "values")
-
-    def __init__(self, degree, module, values=None):
-        self.degree = degree
-        self.module = module
-        self.values = {}
-        if values:
-            for chain, el in values.items():
-                if not el.is_zero():
-                    self.values[chain] = el
-
-    def value(self, chain):
-        got = self.values.get(chain)
-        return got if got is not None else self.module.zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.values == other.values)
-
-    def is_zero(self):
-        return not self.values
-
-
-class ScalarCochain:
-    """Canonical representative: map chains -> rank-vectors of rationals."""
-
-    __slots__ = ("degree", "module", "values")
-
-    def __init__(self, degree, module, values=None):
-        self.degree = degree
-        self.module = module
-        self.values = {}
-        if values:
-            for chain, vec in values.items():
-                vec = tuple(map(_exact, vec))
-                if any(vec):
-                    self.values[chain] = vec
-
-    def value(self, chain):
-        got = self.values.get(chain)
-        return got if got is not None else (0,) * self.module.rank
-
-    def include(self):
-        """Embed back as a constant-valued Cochain."""
-        return Cochain(self.degree, self.module,
-                       {c: ModuleElement.constants(v) for c, v in self.values.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarCochain) and self.degree == other.degree
-                and self.values == other.values)
-
-    def is_zero(self):
-        return not self.values
-
-
-# -- differential and derivation maps --------------------------------------------
-
-def _act(module, terms, val):
-    """x·val for x ∈ Λ given by its raw terms, through the module's own
-    action memo, keyed by (x's frozen items, val)."""
-    key = (frozenset(terms.items()), val)
-    got = module.action_memo.get(key)
-    if got is None:
-        got = module.action_memo[key] = module.act_algebra(_element(terms), val)
-    return got
-
-
-def hochschild_delta(phi, window):
-    """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
-
-    The action of each δ coefficient on each value is memoised per module
-    (``FiniteModule.action_memo``).
-    """
-    module = phi.module
-    out = {}
-    for x in enumerate_chains(phi.degree + 1, window.W):
-        acc = module.zero()
-        for y, terms in _cached_delta_terms(x).items():
-            val = phi.values.get(y)
-            if val is not None:
-                acc = acc + _act(module, terms, val)
-        if not acc.is_zero():
-            out[x] = acc
-    return Cochain(phi.degree + 1, module, out)
-
-
 def _decrements(chain):
     n = len(chain)
     for k in range(n):
@@ -175,69 +80,6 @@ def _decrements(chain):
         if k < n - 1 and i - 1 < 1:
             continue
         yield k, i, dec
-
-
-def d_map(phi, window):
-    """Derivation-twist Dⁿ on cochains, by its decrement rule.
-
-    (Dⁿφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] for every chain c in the window,
-    where dec_k lowers the k-th index by one and terms that leave the chains
-    drop out.  Degree 0 is ∂ on M.  This is the differential-algebra Morse
-    route collapsed to its terms; ``checks.oracle_twist_terms`` keeps that
-    route as the reference.
-
-    Only φ's chains b and their increments are visited: c = inc_k b is
-    always a chain, dec_k c = b, and its term has coefficient c_k = b_k + 1.
-    """
-    module = phi.module
-    if phi.degree == 0:
-        return Cochain(0, module, {(): module.derivation(phi.value(()))})
-    out = {}
-    for b, val in phi.values.items():
-        level = sum(b)
-        if level > window.W:
-            continue
-        out[b] = out[b] + module.derivation(val) if b in out else module.derivation(val)
-        if level == window.W:
-            continue
-        for k, i in enumerate(b):
-            c = b[:k] + (i + 1,) + b[k + 1:]
-            add = val.scale(i + 1)
-            out[c] = out[c] + add if c in out else add
-    return Cochain(phi.degree, module, out)
-
-
-def reduce_cochain(phi, window):
-    """Unique (s, h) with φ - Dⁿh = s scalar-valued on the window."""
-    module = phi.module
-    if phi.degree == 0:
-        consts, quot = reduce_element(phi.value(()))
-        return (ScalarCochain(0, module, {(): consts}),
-                Cochain(0, module, {(): quot}))
-    svals = {}
-    hvals = {}
-    for c in enumerate_chains(phi.degree, window.W):
-        b = phi.values.get(c, module.zero())
-        for _, i, dec in _decrements(c):
-            hv = hvals.get(dec)
-            if hv is not None:
-                b = b - hv.scale(i)
-        if b.is_zero():
-            continue
-        consts, quot = reduce_element(b)
-        if any(consts):
-            svals[c] = consts
-        if not quot.is_zero():
-            hvals[c] = quot
-    return (ScalarCochain(phi.degree, module, svals),
-            Cochain(phi.degree, module, hvals))
-
-
-def reduced_delta(s, window):
-    """∇ⁿ: the reduced differential on canonical scalar cochains."""
-    delta = hochschild_delta(s.include(), window)
-    reduced, _ = reduce_cochain(delta, window)
-    return reduced
 
 
 # -- matrices and dimension reports ------------------------------------------------
@@ -266,7 +108,7 @@ def assemble_matrix(degree, module, window):
 
     where S, L and Q are the coefficients of 1, v(1) and v(0) in δ(x) at y
     and T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over the decrements of x.  This is
-    the canonical reduction of ``reduced_delta``, which stays its
+    the canonical reduction of ``checks.reduced_delta``, which stays its
     per-column oracle: δ's coefficients hold only 1 and letters v(n)
     (``anick._closed_delta_terms``), and on a constant eⱼ the letters act
     as v(0)eⱼ = (E∂ + C)eⱼ, v(1)eⱼ = Beⱼ and v(n ≥ 2)eⱼ = 0.  So Δ of the

@@ -19,10 +19,9 @@ alone: on eⱼ the residual is column j of
 
 and a failure is rejected with the violated identity named.  The symbolic
 expansion of the identity is the oracle ``checks.oracle_associativity_residual``;
-the equivalent λ-degree criterion for M(α,Δ) is ``check_locality_compat``.
-
-Module elements are vectors of ∂-polynomials, on which the letter v(n) acts
-by Taylor's formula (``act_vn``).
+the equivalent λ-degree criterion for M(α,Δ) is ``checks.check_locality_compat``.
+The module's action on vectors of ∂-polynomials is the oracle
+``checks.SymbolicModule``.
 """
 
 from __future__ import annotations
@@ -30,66 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 import re
 
-from .poly import Poly, D, L, M as MU, split_constant
-from .coeffalg import UNIT, _exact
+from .coeffalg import _exact
 
 
 class ModuleValidationError(ValueError):
     """A module spec fails the conformal-module axioms."""
-
-
-class ModuleElement:
-    """Vector of coordinate polynomials over a fixed free module."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-    @classmethod
-    def zero(cls, rank):
-        return cls((Poly.zero(),) * rank)
-
-    @classmethod
-    def constants(cls, values):
-        return cls(tuple(Poly.const(v) for v in values))
-
-    def __add__(self, other):
-        return ModuleElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return ModuleElement(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return ModuleElement(tuple(-a for a in self.coords))
-
-    def scale(self, q):
-        return ModuleElement(tuple(a * q for a in self.coords))
-
-    def poly_mul(self, p):
-        return ModuleElement(tuple(a * p for a in self.coords))
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleElement) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __str__(self):
-        names = ("u", "w", "x", "y")
-        parts = []
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            name = names[i] if i < len(names) else f"e{i}"
-            parts.append(f"({a}){name}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"ModuleElement({str(self)})"
 
 
 class FiniteModule:
@@ -108,87 +52,12 @@ class FiniteModule:
             raise ValueError("E, B and C must be square matrices of one size")
         self.spec = spec
         self.params = dict(params or {})
-        # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``cohomology._act``);
-        # owned by the module, so it is freed with it
-        self.action_memo = {}
-
-    def zero(self):
-        return ModuleElement.zero(self.rank)
-
-    def basis(self):
-        return [ModuleElement(Poly.one() if i == j else Poly.zero() for i in range(self.rank))
-                for j in range(self.rank)]
-
-    def element(self, *coords):
-        if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        return ModuleElement(c if isinstance(c, Poly) else Poly.const(c) for c in coords)
-
-    def act_vn(self, n, m):
-        """Action of the letter v(n) by Taylor's formula.
-
-        v(n)·m is n! times the λⁿ part of v ∘λ m, and v ∘λ (f eⱼ) =
-        Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) f(∂+λ) eᵢ with f(∂+λ) = Σₖ f⁽ᵏ⁾(∂) λᵏ/k!, so
-
-            v(n)·F = (E∂ + C)F⁽ⁿ⁾ + n·B·F⁽ⁿ⁻¹⁾
-
-        (the B term is absent for n = 0): two derivatives of each coordinate
-        and no shift or λ-split.  A coordinate of m that carries λ raises
-        ``ValueError``: the letter acts on ∂-polynomials only.
-        """
-        if any(f.degree("l") > 0 for f in m.coords):
-            raise ValueError("act_vn expects coordinates free of λ")
-        lower = [f.derivative("d", n - 1) for f in m.coords] if n else None
-        high = [f.derivative("d") for f in lower] if n else m.coords
-        out = []
-        for i in range(self.rank):
-            acc = Poly.zero()
-            for j, f in enumerate(high):
-                e, c = self.E[i][j], self.C[i][j]
-                if f and (e or c):
-                    acc = acc + f * (D * e + c)
-                if n and self.B[i][j] and lower[j]:
-                    acc = acc + lower[j] * (n * self.B[i][j])
-            out.append(acc)
-        return ModuleElement(out)
-
-    def act_word(self, word, m):
-        """Action of a normal word; the rightmost letter acts first."""
-        if word is UNIT:
-            return m
-        k, n = word
-        m = self.act_vn(n, m)
-        for _ in range(k):
-            m = self.act_vn(0, m)
-        return m
-
-    def act_algebra(self, x, m):
-        """Action of an element of Λ (linear over words; 1 acts as identity)."""
-        out = self.zero()
-        for w, c in x.terms.items():
-            out = out + self.act_word(w, m).scale(c)
-        return out
-
-    def derivation(self, m):
-        """∂ on the free module: multiply every coordinate by ∂."""
-        return m.poly_mul(D)
 
     def __str__(self):
         return self.spec
 
     def __repr__(self):
         return f"FiniteModule({self.spec!r})"
-
-
-def check_locality_compat(alpha, delta):
-    """λ-degree criterion for M(α,Δ) to carry the locality-2 product.
-
-    Expands (α+∂+λ+Δ(μ-λ))(α+∂+Δλ) — the value of (v ∘λ v) ∘μ u computed
-    through the inner action — and checks the λ-degree stays below 2.
-    """
-    base = Poly.const(alpha) + D
-    expr = (base + L + (MU - L) * delta) * (base + L * delta)
-    return expr.degree("l") < 2
 
 
 def _validate(module):
@@ -213,6 +82,8 @@ def _validate(module):
                                     - C[i][j] + product(C, E, i, j))}
                     for i in range(r)]
         if any(c for coeffs in residual for c in coeffs.values()):
+            from .poly import Poly  # here only: a valid module needs no Poly
+
             raise ModuleValidationError(
                 f"{module.spec}: associativity (v∘λ(v∘μ m)) = ((v∘λv)∘(λ+μ) m) "
                 f"fails on basis vector {j}; residual {[str(Poly(c)) for c in residual]}"
@@ -272,8 +143,3 @@ def make_module(spec):
         f"or ext(alpha=..,beta=..,gamma=..)"
     )
 
-
-def reduce_element(m):
-    """Coordinate-wise split f = c + ∂·g; returns (constants, quotient)."""
-    split = [split_constant(f) for f in m.coords]
-    return tuple(c for c, _ in split), ModuleElement(g for _, g in split)

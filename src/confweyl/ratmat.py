@@ -34,6 +34,12 @@ batches.  ``rank_profile`` reads, after each batch, the rank of the rows
 so far and the rank of each leading block of columns: in an RREF the
 first c columns have rank equal to the number of leads left of c (the
 column rank profile; Dumas, Pernet & Sultan, ISSAC 2013).
+
+The report reads only ``rank_profile``.  ``RationalMatrix.rank`` (with its
+``row_filter``) and ``rank_of_vectors`` have no engine caller; they stay as
+the kernel-basis route to the projected dimensions, which the benchmark's
+``elimination`` workload times and the tests' ``_oracle_projected_dims``
+holds the report to.
 """
 
 from __future__ import annotations

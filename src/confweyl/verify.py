@@ -15,28 +15,30 @@ import time
 
 from .anick import anick_delta_closed, enumerate_chains
 from .checks import (
+    Cochain,
+    SymbolicModule,
     check_chain_map,
     check_conformal_associativity,
     check_conformal_axioms,
     check_confluence,
     check_delta_squared,
     check_fdg,
+    check_locality_compat,
     check_module_axioms,
     check_morse_closed,
     check_nabla_squared,
+    d_map,
     oracle_twist_terms,
 )
 from .coeffalg import AlgebraElement, _exact, normal_form
 from .cohomology import (
-    Cochain,
     Window,
     WindowComplex,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
-    d_map,
 )
-from .modules import ModuleValidationError, check_locality_compat, module_m
+from .modules import ModuleValidationError, module_m
 from .poly import D
 
 
@@ -226,7 +228,7 @@ def criterion_4():
             checked += 1
             if oracle_twist_terms(chain) != twist_reference(chain):
                 return False, {"chain": chain, "side": "operator-vs-decrement-rule"}
-    mod = module_m(7, 1)  # any weight-one module; D is module-independent here
+    mod = SymbolicModule(module_m(7, 1))  # any weight-one module; D is module-independent here
     window = Window(8, 0)
     target = (2, 1, 1)
     # symbolic check: evaluate D³ on every delta-function cochain

@@ -8,29 +8,30 @@ from hypothesis import strategies as st
 from confweyl import coeffalg, cohomology, ratmat, verify
 from confweyl.anick import enumerate_chains
 from confweyl.checks import (
+    Cochain,
+    ModuleElement,
+    ScalarCochain,
+    SymbolicModule,
+    _act,
     check_nabla_squared,
     check_reduction_soundness,
+    d_map,
+    hochschild_delta,
     oracle_twist_terms,
+    reduce_cochain,
+    reduced_delta,
 )
 from confweyl.cohomology import (
-    Cochain,
-    ScalarCochain,
     Window,
     WindowComplex,
-    _act,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
-    d_map,
-    hochschild_delta,
-    reduce_cochain,
-    reduced_delta,
     verify_theorem_constructions,
 )
 from confweyl.coeffalg import UNIT, AlgebraElement
 from confweyl.modules import (
     FiniteModule,
-    ModuleElement,
     _validate,
     make_module,
     module_ext,
@@ -78,7 +79,7 @@ def test_window_validation():
 def test_delta0_values():
     # constant h = β: values (∂+α)β, β, then zero
     alpha = Fraction(4)
-    mod = module_m(alpha, 1)
+    mod = SymbolicModule(module_m(alpha, 1))
     phi = Cochain(0, mod, {(): mod.element(1)})
     image = hochschild_delta(phi, W8)
     assert image.value((0,)) == mod.element(D + 4)
@@ -91,7 +92,7 @@ def test_delta1_scalar_values():
     # scalar φ[m] = α_m: (Δ¹φ)[1|m] = -(∂+α)α_{1+m};
     # (Δ¹φ)[n|m] = -(∂+α)α_{n+m} - nα_{n+m-1} for n ≥ 2
     alpha = Fraction(-2)
-    mod = module_m(alpha, 1)
+    mod = SymbolicModule(module_m(alpha, 1))
     seq = {m: Fraction(m * m + 1) for m in range(0, 9)}
     phi = Cochain(1, mod, {(m,): mod.element(c) for m, c in seq.items()})
     image = hochschild_delta(phi, W8)
@@ -104,7 +105,7 @@ def test_delta1_scalar_values():
 
 
 def test_d_map_examples():
-    mod = module_m(0, 1)
+    mod = SymbolicModule(module_m(0, 1))
     # degree 0: D⁰h = ∂h
     h = Cochain(0, mod, {(): mod.element(parse_poly("d+2"))})
     assert d_map(h, W8).value(()) == mod.element(parse_poly("d^2+2*d"))
@@ -118,7 +119,7 @@ def test_d_map_examples():
 
 
 def test_d_map_worked_degree3_value():
-    mod = module_m(1, 1)
+    mod = SymbolicModule(module_m(1, 1))
     vals = {(2, 1, 1): mod.element(D ** 3),
             (1, 1, 1): mod.element(7),
             (2, 1, 0): mod.element(11)}
@@ -128,7 +129,7 @@ def test_d_map_worked_degree3_value():
 
 
 def test_d_map_routes_agree():
-    mod = module_ext(0, 1, 1)
+    mod = SymbolicModule(module_ext(0, 1, 1))
     values = {
         (1, 1): mod.element(D, 1),
         (2, 3): mod.element(0, D * D),
@@ -139,7 +140,7 @@ def test_d_map_routes_agree():
 
 
 def test_reduce_cochain_examples():
-    mod = module_m(2, 1)
+    mod = SymbolicModule(module_m(2, 1))
     phi = Cochain(1, mod, {(0,): mod.element(parse_poly("d+3"))})
     s, h = reduce_cochain(phi, W8)
     assert s.values == {(0,): (Fraction(3),), (1,): (Fraction(-1),)}
@@ -162,7 +163,7 @@ def test_reduction_soundness_suite():
 def test_reduced_delta_closed_form_degree1():
     # (∇¹s)[n|m] = -α s_{n+m} + m s_{n+m-1}
     alpha = Fraction(3)
-    mod = module_m(alpha, 1)
+    mod = SymbolicModule(module_m(alpha, 1))
     seq = {m: Fraction(2 * m + 1) for m in range(0, 9)}
     s = ScalarCochain(1, mod, {(m,): (c,) for m, c in seq.items()})
     out = reduced_delta(s, W8)
@@ -176,7 +177,7 @@ def test_reduced_delta_closed_form_degree2():
     # eq-style: -α s_{(n+m,p)} + α s_{(n,m+p)} + m s_{(n+m-1,p)}
     #           + p s_{(n+m,p-1)} - p s_{(n,m+p-1)}
     alpha = Fraction(-1, 2)
-    mod = module_m(alpha, 1)
+    mod = SymbolicModule(module_m(alpha, 1))
     vals = {}
     for (a, b) in enumerate_chains(2, 8):
         vals[(a, b)] = (Fraction(3 * a - b + a * b + 1),)
@@ -318,12 +319,13 @@ def test_nabla_squared_zero_small():
 
 def _column_oracle(degree, module, window):
     """∇ one column at a time: reduced_delta of each delta-function cochain."""
+    symbolic = SymbolicModule(module)
     row_index = {lab: i for i, lab in
                  enumerate(coordinate_labels(degree + 1, module, window))}
     columns = []
     for chain, j in coordinate_labels(degree, module, window):
         basis_vec = tuple(1 if i == j else 0 for i in range(module.rank))
-        image = reduced_delta(ScalarCochain(degree, module, {chain: basis_vec}), window)
+        image = reduced_delta(ScalarCochain(degree, symbolic, {chain: basis_vec}), window)
         columns.append({row_index[(x, coord)]: val
                         for x, vec in image.values.items()
                         for coord, val in enumerate(vec) if val})
@@ -342,6 +344,7 @@ _modules = st.one_of(
 @given(module=_modules, degree=st.integers(0, 4), W=st.integers(3, 7), data=st.data())
 def test_d_map_matches_morse_route_oracle(module, degree, W, data):
     # the decrement rule against D's terms read off ∂ₙ∘gₙ, chain by chain
+    module = SymbolicModule(module)
     window = Window(W, 0)
     chains = enumerate_chains(degree, W)
     # nonzero values on every chain, with ∂-powers up to 3
@@ -361,6 +364,7 @@ def test_d_map_matches_morse_route_oracle(module, degree, W, data):
 def test_d_map_on_sparse_support_matches_morse_route_oracle(module, degree, W, data):
     # d_map visits φ's chains and their increments only; values on a few
     # chains, some of them one sum above the window, which D must ignore
+    module = SymbolicModule(module)
     chains = enumerate_chains(degree, W + 1)
     support = data.draw(st.lists(st.sampled_from(chains), min_size=1, max_size=4,
                                  unique=True))
@@ -370,6 +374,52 @@ def test_d_map_on_sparse_support_matches_morse_route_oracle(module, degree, W, d
         for c in support})
     window = Window(W, 0)
     assert d_map(phi, window) == _morse_route_d_map(phi, window)
+
+
+def _h0(vec, labels, index, degree, flipped=None):
+    """(h₀s)[t] = (−1)ⁿ⁺¹ s[t+(0,)] for a degree-n cochain s given as
+    {position: value} over ``labels``; t+(0,) is a chain exactly when t = ()
+    or t[−1] ≥ 1.  The sign is flipped at the chain ``flipped``."""
+    sign = (-1) ** (degree + 1)
+    out = {}
+    for i, v in vec.items():
+        x, j = labels[i]
+        if x[-1] == 0:
+            k = index[(x[:-1], j)]
+            out[k] = out.get(k, 0) + (-sign if x[:-1] == flipped else sign) * v
+    return out
+
+
+def _h0_failures(alpha, delta, n, W, flipped=None):
+    """Columns y of ∇ⁿ with sum ≤ W−1 where ∇ⁿ⁻¹h₀ + h₀∇ⁿ ≠ α·id on M(α,Δ)."""
+    complex_ = WindowComplex(module_m(alpha, delta), Window(W, 0))
+    a_n, a_prev = complex_.nabla(n), complex_.nabla(n - 1)
+    index_prev, index_n = complex_.index(n - 1), complex_.index(n)
+    failures = []
+    for j, (y, _) in enumerate(a_n.col_labels):
+        if sum(y) > W - 1:
+            break  # labels run in (sum, lex) order
+        got = a_prev.matvec(_h0({j: 1}, a_n.col_labels, index_prev, n, flipped))
+        for i, v in _h0(a_n.columns[j], a_n.row_labels, index_n, n + 1, flipped).items():
+            got[i] = got.get(i, 0) + v
+        if {i: v for i, v in got.items() if v} != ({j: alpha} if alpha else {}):
+            failures.append(y)
+    return failures
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=_rationals, delta=st.sampled_from([0, 1]), n=st.integers(1, 5),
+       W=st.integers(1, 9))
+def test_h0_is_a_homotopy_from_alpha_to_zero(alpha, delta, n, W):
+    # the Finding's h₀: ∇ⁿ⁻¹h₀ + h₀∇ⁿ = α·id on M(α,Δ), column by column
+    assert _h0_failures(alpha, delta, n, W) == []
+
+
+@pytest.mark.parametrize("alpha", [0, 1, Fraction(-3, 2)])
+def test_h0_with_one_sign_flipped_is_not_a_homotopy(alpha):
+    # mutation: h₀ with its sign flipped on the one chain (1,) of degree 1
+    assert _h0_failures(alpha, 1, 2, 6) == []
+    assert _h0_failures(alpha, 1, 2, 6, flipped=(1,)) != []
 
 
 _lambda_elements = st.dictionaries(
@@ -383,20 +433,23 @@ _d_polys = st.dictionaries(st.integers(0, 3).map(lambda e: (e, 0, 0, 0)), _ratio
 @given(module=_modules, x=_lambda_elements, data=st.data())
 def test_action_memo_matches_a_fresh_action(module, x, data):
     # Δ hands ``_act`` δ's raw terms; the memo is keyed by their frozen items
+    symbolic = SymbolicModule(module)
     m = ModuleElement(tuple(data.draw(_d_polys) for _ in range(module.rank)))
-    want = module.act_algebra(x, m)
+    want = symbolic.act_algebra(x, m)
     key = (frozenset(x.terms.items()), m)
-    assert _act(module, x.terms, m) == want
-    assert module.action_memo[key] == want
-    assert _act(module, dict(x.terms), m) == want  # read back from the memo
-    # a second instance of the same module starts with its own empty memo
-    twin = make_module(module.spec)
-    assert twin is not module and not twin.action_memo
-    module.action_memo[key] = want + module.element(*([1] * module.rank))
-    assert _act(module, x.terms, m) != want
+    assert _act(symbolic, x.terms, m) == want
+    assert symbolic.action_memo[key] == want
+    assert _act(symbolic, dict(x.terms), m) == want  # read back from the memo
+    # a second symbolic module over the same module starts with its own empty memo
+    twin = SymbolicModule(make_module(module.spec))
+    assert twin is not symbolic and not twin.action_memo
+    symbolic.action_memo[key] = want + symbolic.element(*([1] * module.rank))
+    assert _act(symbolic, x.terms, m) != want
     assert _act(twin, x.terms, m) == want
     assert len(twin.action_memo) == 1
-    del module.action_memo[key]
+    del symbolic.action_memo[key]
+    # the module itself keeps no memo: its one dict is its parameters
+    assert [name for name, v in vars(twin.module).items() if isinstance(v, dict)] == ["params"]
 
 
 def test_assembly_builds_no_algebra_element(monkeypatch):

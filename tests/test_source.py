@@ -1,5 +1,10 @@
 import ast
+import os
 from pathlib import Path
+import subprocess
+import sys
+
+import pytest
 
 import confweyl
 
@@ -28,12 +33,9 @@ def _imported_names(tree):
 
 
 def test_no_unused_imports_in_the_package():
-    # every imported name is read somewhere in its module; __init__.py only
-    # re-exports, so it is exempt
+    # every imported name is read somewhere in its module
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
@@ -41,18 +43,42 @@ def test_no_unused_imports_in_the_package():
     assert not found, found
 
 
-def test_modules_does_not_import_the_conformal_algebra():
-    # a module is its matrices E, B, C; the symbolic λ-action over U(2)
-    # lives only in the oracle, checks.oracle_associativity_residual
-    tree = ast.parse((SRC / "modules.py").read_text(encoding="utf-8"))
+# the engine: everything a report needs, and nothing the oracles need
+ENGINE = ("anick", "coeffalg", "cohomology", "modules", "ratmat")
+ORACLE_SIDE = {"poly", "conformal", "checks", "verify"}
+
+
+def _top_level_imports(tree):
+    """Every module part a top-level import statement names (not those in
+    function bodies, which run only when called)."""
     parts = set()
-    for node in ast.walk(tree):
+    for node in _module_statements(tree):
         if isinstance(node, ast.ImportFrom):
             parts.update((node.module or "").split("."))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 parts.update(alias.name.split("."))
-    assert parts and "conformal" not in parts
+    return parts
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_module_imports_no_oracle_side_module_at_top(module):
+    # a module is its matrices E, B, C and ∇ is assembled from them, so the
+    # symbolic λ-action over U(2), the ∂-polynomials and the suites stay out
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    parts = _top_level_imports(tree)
+    assert parts and not parts & ORACLE_SIDE
+
+
+def test_importing_cohomology_loads_only_the_engine():
+    code = ("import sys, confweyl.cohomology; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('confweyl'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(["confweyl"] + [f"confweyl.{m}" for m in ENGINE])
 
 
 _TABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
