@@ -41,7 +41,16 @@ raw stored form, {word: coeff} dicts multiplied by ``coeffalg._mul_into``,
 and so do the resolution checks in ``checks``.  ``bar_differential``,
 ``anick_delta_closed``, ``homotopy_f``, ``homotopy_g`` and
 ``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
-at return; ∇ assembly and Δ read δ unwrapped, from ``_cached_delta_terms``.
+at return; the checks' Δ reads δ unwrapped, from ``_cached_delta_terms``.
+
+∇ of every module is S ⊗ I + T ⊗ E + L ⊗ B + Q ⊗ C, where S, L and Q are
+δ's coefficient matrices of 1, v(1) and v(0) and T twists v(0)'s by the
+decrements of each chain (``_decrements``); none depends on the module.
+``nabla_operators`` builds the four once per (degree, max_sum), reading δ
+unwrapped from a table local to the build, and keeps them in
+``_operator_cache`` as a palette of distinct (S, T, L, Q) plus, per column,
+compact arrays of rows and palette indices.  ``cohomology.assemble_matrix``
+combines them with each module's E, B, C.
 
 The derivation twist D is not built here.  ``checks.d_map`` applies
 its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
@@ -51,6 +60,7 @@ its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -334,6 +344,8 @@ _f_memo = {}
 #: the pair of every split end, whose f and ascent are both 0
 _SPLIT_END = ({}, {})
 _delta_cache = {}  # chain -> δ's raw terms; filled by _cached_delta_terms
+#: (degree, max_sum) -> ∇'s module-free operators; filled by ``nabla_operators``
+_operator_cache = {}
 
 
 def _combine(acc, coeff, combo):
@@ -487,7 +499,9 @@ def _closed_delta_terms(chain):
 
 def _cached_delta_terms(chain):
     """``_closed_delta_terms(chain)`` memoised in ``_delta_cache``, the δ
-    table ∇ assembly and Δ read; callers never change the terms.  As in
+    table that the checks' Δ (``checks.hochschild_delta``) reads; callers
+    never change the terms.  ∇ assembly does not read it: ``nabla_operators``
+    keeps a δ table of its own, two index-sum levels deep.  As in
     ``checks.check_delta_squared``, the table also maps each coefficient's
     frozen items to one shared copy of it."""
     got = _delta_cache.get(chain)
@@ -498,20 +512,93 @@ def _cached_delta_terms(chain):
     return got
 
 
+def _decrements(chain):
+    """(k, iₖ, decₖ chain) for every index k whose decrement stays a chain:
+    iₖ ≥ 1, and iₖ ≥ 2 unless k is the last index.  Each has sum(chain) − 1."""
+    n = len(chain)
+    for k in range(n):
+        i = chain[k]
+        if i == 0:
+            continue
+        dec = chain[:k] + (i - 1,) + chain[k:][1:]
+        # interior indices of a chain stay >= 1
+        if k < n - 1 and i - 1 < 1:
+            continue
+        yield k, i, dec
+
+
+_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
+
+
+def nabla_operators(degree, max_sum):
+    """∇^degree's module-free operators S, T, L, Q at sum ≤ max_sum.
+
+    For every module, ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ
+    (``cohomology.assemble_matrix``), where S, L and Q are the coefficients
+    of 1, v(1) and v(0) in δ(x) at y and T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over
+    the decrements of x.  Returns (palette, columns): the palette is a tuple
+    of the distinct nonzero (S, T, L, Q), and columns[k], for the k-th
+    degree-n chain y of ``enumerate_chains``, is a pair of arrays, the
+    positions x of the degree-(n+1) rows where an operator is nonzero at y,
+    increasing, and for each the index of its (S, T, L, Q) in the palette.
+    Both arrays take ``'I'``, four bytes wherever CPython runs, which holds
+    any row count that ``MAX_CHAINS`` admits and any palette size (at most
+    the number of entries).
+
+    Built once per (degree, max_sum) and kept in ``_operator_cache``;
+    callers read the arrays and never change them.  The
+    build reads δ from a table of its own: the rows run in (sum, lex) order
+    and a decrement of x has sum(x) − 1, so only the v(0) terms of the
+    previous sum's rows are kept, and ``_delta_cache`` is neither read nor
+    filled.
+    """
+    key = (degree, max_sum)
+    got = _operator_cache.get(key)
+    if got is None:
+        got = _operator_cache[key] = _build_operators(degree, max_sum)
+    return got
+
+
+def _build_operators(degree, max_sum):
+    rows = enumerate_chains(degree + 1, max_sum)
+    position = {y: k for k, y in enumerate(enumerate_chains(degree, max_sum))}
+    columns = [(array("I"), array("I")) for _ in position]
+    palette = {}  # (S, T, L, Q) -> its index
+    level, previous, current = None, {}, {}  # chain -> {y: [v(0)]δ(chain) at y}
+    for r, x in enumerate(rows):
+        if sum(x) != level:
+            level, previous, current = sum(x), current, {}
+        delta = _closed_delta_terms(x)
+        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
+                   for y, terms in delta.items()}  # y -> [S, T, L, Q]
+        current[x] = {y: w[3] for y, w in weights.items() if w[3]}
+        for _, i, dec in _decrements(x):
+            for y, q in previous[dec].items():
+                weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
+        for y, w in weights.items():
+            if any(w):
+                at, entries = columns[position[y]]
+                at.append(r)
+                entries.append(palette.setdefault(tuple(w), len(palette)))
+    return tuple(palette), columns
+
+
 def clear_caches():
     """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
     the ascent of every cell ``_zigzag`` met, as raw terms, and the one
     copy of each distinct coefficient the pairs share; split ends share the
-    constant ``_SPLIT_END``, which stays empty) and the δ table
-    ``_delta_cache`` that ∇ assembly and Δ read through
-    ``_cached_delta_terms``, shared coefficients included.  The δ table of
-    ``checks.check_delta_squared`` is local to one degree of the check and
-    needs no clearing.  Products in Λ keep no table
+    constant ``_SPLIT_END``, which stays empty), the δ table
+    ``_delta_cache`` that the checks' Δ reads through
+    ``_cached_delta_terms``, shared coefficients included, and the table
+    ``_operator_cache`` of ∇'s operators per (degree, max_sum).  The δ
+    tables of ``checks.check_delta_squared`` and of the operator build are
+    local to one call and need no clearing.  Products in Λ keep no table
     (``coeffalg._letter_word`` is a closed form), and the derivation twist
     keeps none either: ``checks.d_map`` applies its decrement rule
     directly."""
     _f_memo.clear()
     _delta_cache.clear()
+    _operator_cache.clear()
 
 
 # -- rendering ------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .anick import (
     _cached_delta_terms,
     _closed_delta_terms,
     _combine,
+    _decrements,
     _g_terms,
     _morse_delta_terms,
     _zigzag,
@@ -71,7 +72,7 @@ from .coeffalg import (
     derivation as lambda_derivation,
     normal_form,
 )
-from .cohomology import Window, WindowComplex, _decrements
+from .cohomology import Window, WindowComplex
 from .conformal import ConformalElement, check_associativity, lambda_product, n_product
 from .modules import make_module
 from .poly import Poly, D, L, M as MU, split_constant

@@ -22,20 +22,22 @@ The differential ∇ = reduce ∘ Δ ∘ include is canonical: processing chains
 in (sum, lex) order, the scalar reduction peels
 b = φ[c] - Σ_k i_k·h[c with i_k decremented] and splits b = s[c] + ∂·h[c],
 and s is the unique scalar-valued representative of φ modulo the
-derivation twist (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``_decrements``).
-``assemble_matrix`` builds every column of ∇ⁿ in one pass over the
-degree-(n+1) chains with no module arithmetic.  Every module acts by
-v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and δ's coefficients hold only 1 and
-letters v(n), so on the delta-function basis the reduction's ∂-quotients
-are constants read one sum down and
+derivation twist (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``anick._decrements``).
+Every module acts by v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and δ's
+coefficients hold only 1 and letters v(n), so on the delta-function basis
+the reduction's ∂-quotients are constants read one sum down and
 
     ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
 
 with S, L, Q the coefficients of 1, v(1), v(0) in δ(x) at y and
-T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y, read from ``anick._cached_delta_terms``.
-The entries keep ``coeffalg._exact``'s stored form, so ``ratmat`` gets
-integral rows as ints.  The symbolic route on cochains of ∂-polynomials
-(``checks.reduced_delta``) is the per-column oracle in the tests.
+T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y.  None of S, T, L, Q depends on the
+module: ``anick.nabla_operators`` builds them once per (degree, W), for
+every module and every complex in the process, and ``assemble_matrix`` is
+the per-module pass that combines them with E, B, C, with no module
+arithmetic.  The entries keep ``coeffalg._exact``'s stored form, so
+``ratmat`` gets integral rows as ints.  The symbolic route on cochains of
+∂-polynomials (``checks.reduced_delta``) is the per-column oracle in the
+tests.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .anick import _cached_delta_terms, enumerate_chains
-from .coeffalg import UNIT, _exact
+from .anick import enumerate_chains, nabla_operators
+from .coeffalg import _exact
 from .modules import make_module
 from .ratmat import RationalMatrix, rank_profile
 
@@ -69,19 +71,6 @@ class Window:
         return Window(self.W - 1, self.margin)
 
 
-def _decrements(chain):
-    n = len(chain)
-    for k in range(n):
-        i = chain[k]
-        if i == 0:
-            continue
-        dec = chain[:k] + (i - 1,) + chain[k:][1:]
-        # interior indices of a chain stay >= 1
-        if k < n - 1 and i - 1 < 1:
-            continue
-        yield k, i, dec
-
-
 # -- matrices and dimension reports ------------------------------------------------
 
 def coordinate_labels(degree, module, window):
@@ -93,16 +82,13 @@ def coordinate_labels(degree, module, window):
     return labels
 
 
-_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
-
-
 def assemble_matrix(degree, module, window):
     """Matrix of ∇^degree on the delta-function basis of scalar cochains.
 
     Columns: degree-n chains (sum ≤ W) × module coordinates; rows: the same
     for degree n+1.  Degree 0 has the single empty chain per coordinate.
 
-    One pass over the rows x, with no module arithmetic:
+    With no module arithmetic:
 
         ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
 
@@ -114,33 +100,38 @@ def assemble_matrix(degree, module, window):
     as v(0)eⱼ = (E∂ + C)eⱼ, v(1)eⱼ = Beⱼ and v(n ≥ 2)eⱼ = 0.  So Δ of the
     basis cochain at (y, j) is Q·E eⱼ·∂ plus constants at every x, its
     ∂-quotient h[x] = Q·E eⱼ is a constant, and peeling Σₖ iₖ·h[decₖ x]
-    leaves the constant T·E eⱼ + (S + L·B + Q·C)eⱼ.  The entries keep the
-    stored form, an ``int`` when integral.
+    leaves the constant T·E eⱼ + (S + L·B + Q·C)eⱼ.
+
+    S, T, L and Q do not depend on the module, so they are built once per
+    (degree, W) by ``anick.nabla_operators``, as a palette of distinct
+    (S, T, L, Q) and per column y the rows x with their palette indices.
+    Here each palette entry's r×r block S·I + T·E + L·B + Q·C is computed
+    once, and one pass over the entries places the blocks; each column's
+    keys come in increasing row order.  The entries keep the stored form,
+    an ``int`` when integral.
     """
     module = make_module(module)
     rank, E, B, C = module.rank, module.E, module.B, module.C
     col_labels = coordinate_labels(degree, module, window)
     row_labels = coordinate_labels(degree + 1, module, window)
-    first_col = {chain: k * rank for k, chain in enumerate(enumerate_chains(degree, window.W))}
-    columns = [{} for _ in col_labels]
-    for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
-        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
-                   for y, terms in _cached_delta_terms(x).items()}  # y -> [S, T, L, Q]
-        for _, i, dec in _decrements(x):
-            for y, terms in _cached_delta_terms(dec).items():
-                q = terms.get(_V0)
-                if q:
-                    weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
-        base = row * rank
-        for y, (s, t, l, q) in weights.items():
-            for j in range(rank):
-                column = columns[first_col[y] + j]
-                for i in range(rank):
-                    entry = t * E[i][j] + l * B[i][j] + q * C[i][j]
-                    if i == j:
-                        entry += s
-                    if entry:
-                        column[base + i] = _exact(entry)
+    palette, operators = nabla_operators(degree, window.W)
+    # blocks[p][j]: the nonzero (i, entry) of column j of palette entry p's block
+    blocks = []
+    for s, t, l, q in palette:
+        block = [[] for _ in range(rank)]
+        for j in range(rank):
+            for i in range(rank):
+                entry = t * E[i][j] + l * B[i][j] + q * C[i][j]
+                if i == j:
+                    entry += s
+                if entry:
+                    block[j].append((i, _exact(entry)))
+        blocks.append(block)
+    columns = []
+    for rows, entries in operators:
+        for j in range(rank):
+            columns.append({x * rank + i: v
+                            for x, p in zip(rows, entries) for i, v in blocks[p][j]})
     return RationalMatrix(len(row_labels), len(col_labels), columns, row_labels, col_labels)
 
 

@@ -334,15 +334,40 @@ def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _delta_cache, _f_memo
+    from confweyl.anick import _delta_cache, _f_memo, _operator_cache
     from confweyl.cohomology import Window, assemble_matrix
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
+    # assembly reads a δ table of its own, so the checks' one is filled directly
+    anick._cached_delta_terms((2, 1, 1))
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _delta_cache
+    assert _f_memo and _delta_cache and _operator_cache
     clear_caches()
-    assert not _f_memo and not _delta_cache
+    assert not _f_memo and not _delta_cache and not _operator_cache
+
+
+@pytest.mark.parametrize("degree, max_sum", [(0, 5), (1, 6), (3, 7), (5, 9)])
+def test_nabla_operators_are_compact_and_leave_the_delta_table_alone(degree, max_sum):
+    # per column: increasing rows, each with an index into a palette of
+    # distinct nonzero (S, T, L, Q); the build fills no global δ table
+    clear_caches()
+    try:
+        palette, columns = anick.nabla_operators(degree, max_sum)
+        assert not anick._delta_cache
+        assert anick.nabla_operators(degree, max_sum)[1] is columns
+        assert list(anick._operator_cache) == [(degree, max_sum)]
+        assert len(columns) == len(enumerate_chains(degree, max_sum))
+        nrows = len(enumerate_chains(degree + 1, max_sum))
+        assert len(set(palette)) == len(palette) and all(any(w) for w in palette)
+        used = set()
+        for rows, entries in columns:
+            assert rows.typecode == entries.typecode == "I" and len(rows) == len(entries)
+            assert list(rows) == sorted(set(rows)) and all(r < nrows for r in rows)
+            used.update(entries)
+        assert used == set(range(len(palette)))
+    finally:
+        clear_caches()
 
 
 _table_chains = st.integers(1, 5).flatmap(

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import confweyl
+from confweyl import anick
 from confweyl.cli import run
 
 
@@ -122,6 +123,10 @@ _GOLDEN = Path(__file__).parent / "golden"
     (("cohomology", "--degree", "3", "--module", "ext(alpha=0,beta=1,gamma=1)", "--window", "7",
       "--margin", "0"),
      "cohomology_ext_h3_margin0.json"),
+    # C non-integral: the blocks of ∇'s palette carry Fraction entries
+    (("cohomology", "--degree", "3", "--module", "ext(alpha=1/2,beta=2,gamma=3)",
+      "--window", "8"),
+     "cohomology_ext_h3_frac.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the
@@ -207,6 +212,7 @@ def test_oversized_enumerations_exit_2_at_once(capture):
     code, _, err = capture("cohomology", "--degree", "10", "--module",
                            "M(alpha=1,delta=1)", "--window", "200")
     assert code == 2 and "limit" in err
+    assert all(W != 200 for _, W in anick._operator_cache)  # no operator built
 
 
 def test_check_forwards_only_the_suite_keywords(capture, monkeypatch):

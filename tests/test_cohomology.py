@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confweyl import coeffalg, cohomology, ratmat, verify
+from confweyl import anick, coeffalg, cohomology, ratmat, verify
 from confweyl.anick import enumerate_chains
 from confweyl.checks import (
     Cochain,
@@ -472,7 +472,7 @@ def test_assembly_builds_no_algebra_element(monkeypatch):
         made.append(terms)
         init(self, terms)
 
-    clear_caches()  # every δ is built by this one assembly
+    clear_caches()  # the operators, and every δ their build reads, come from this assembly
     for name, mod in list(sys.modules.items()):
         if name.startswith("confweyl") and getattr(mod, "_element", None) is element:
             monkeypatch.setattr(mod, "_element", counting_element)
@@ -497,6 +497,87 @@ _matrix_modules = st.one_of(
     _rationals.map(lambda c: _matrix_module(((1, 0), (0, 0)), ((1, 0), (0, 0)),
                                             ((c, 0), (0, 0)))),
 )
+
+
+_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
+
+
+def _oracle_assemble(degree, module, window):
+    """∇ by the one-pass assembly that read δ through the global δ table
+    and computed S, T, L, Q per module: every row x, then its decrements."""
+    module = make_module(module)
+    rank, E, B, C = module.rank, module.E, module.B, module.C
+    col_labels = coordinate_labels(degree, module, window)
+    row_labels = coordinate_labels(degree + 1, module, window)
+    first_col = {chain: k * rank for k, chain in enumerate(enumerate_chains(degree, window.W))}
+    columns = [{} for _ in col_labels]
+    for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
+        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
+                   for y, terms in anick._cached_delta_terms(x).items()}  # y -> [S, T, L, Q]
+        for _, i, dec in anick._decrements(x):
+            for y, terms in anick._cached_delta_terms(dec).items():
+                q = terms.get(_V0)
+                if q:
+                    weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
+        base = row * rank
+        for y, (s, t, l, q) in weights.items():
+            for j in range(rank):
+                column = columns[first_col[y] + j]
+                for i in range(rank):
+                    entry = t * E[i][j] + l * B[i][j] + q * C[i][j]
+                    if i == j:
+                        entry += s
+                    if entry:
+                        column[base + i] = coeffalg._exact(entry)
+    return RationalMatrix(len(row_labels), len(col_labels), columns, row_labels, col_labels)
+
+
+_I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# rank 3 with E = I and B ∈ {0, I}: B commutes with every C, so any C is valid
+_rank3_modules = st.builds(
+    lambda B, C: _matrix_module(_I3, B, C),
+    st.sampled_from([((0, 0, 0),) * 3, _I3]),
+    st.tuples(*[st.tuples(_rationals, _rationals, _rationals)] * 3))
+
+
+def _matrix_key(matrix):
+    return (matrix.nrows, matrix.ncols, matrix.row_labels, matrix.col_labels,
+            _typed_columns(matrix.columns))
+
+
+def _count_operator_builds(monkeypatch):
+    builds = []
+    build = anick._build_operators
+
+    def counting(degree, max_sum):
+        builds.append((degree, max_sum))
+        return build(degree, max_sum)
+
+    monkeypatch.setattr(anick, "_build_operators", counting)
+    return builds
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.lists(st.tuples(st.integers(0, 4), st.integers(3, 7)), min_size=1, max_size=2),
+       data=st.data())
+def test_shared_operators_assemble_what_the_oracle_does(grid, data):
+    # modules assembled in turn at one or two (degree, W) share one operator
+    # build each, and every ∇ equals the per-module oracle and a cold
+    # assembly: values, key order and stored-form types
+    modules = st.one_of(_modules, _matrix_modules, _rank3_modules)
+    jobs = data.draw(st.lists(st.tuples(modules, st.sampled_from(grid)), min_size=1,
+                              max_size=4))
+    anick.clear_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        builds = _count_operator_builds(patch)
+        got = [assemble_matrix(degree, module, Window(W, 0)) for module, (degree, W) in jobs]
+    met = {key for _, key in jobs}
+    assert set(anick._operator_cache) == met and sorted(builds) == sorted(met)
+    for (module, (degree, W)), matrix in zip(jobs, got):
+        anick.clear_caches()
+        cold = assemble_matrix(degree, module, Window(W, 0))
+        want = _oracle_assemble(degree, module, Window(W, 0))
+        assert _matrix_key(matrix) == _matrix_key(want) == _matrix_key(cold)
 
 
 @settings(max_examples=40, deadline=None)
@@ -630,9 +711,15 @@ def test_complex_assembles_each_nabla_once(monkeypatch):
 @pytest.mark.parametrize("criterion, assemblies", [(verify.criterion_8, 10),
                                                    (verify.criterion_9, 6)])
 def test_criteria_share_one_complex_per_window(monkeypatch, criterion, assemblies):
+    # each module's complex assembles its own ∇ᵈ, and the two modules of a
+    # criterion (criterion 8's α ∈ {0, 1}) share the operators of every
+    # (degree, W): each is built once
+    anick.clear_caches()
     calls = _count_assemblies(monkeypatch)
+    builds = _count_operator_builds(monkeypatch)
     assert criterion()["passed"]
     assert len(calls) == assemblies
+    assert len(builds) == len(set(builds)) == assemblies // 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -88,6 +88,7 @@ _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.Set
 MODULE_TABLES = {
     "anick._f_memo",
     "anick._delta_cache",
+    "anick._operator_cache",
     "checks.SUITES",
     "poly._VAR_INDEX",
     "poly._P_ZERO.terms",
