@@ -41,7 +41,8 @@ raw stored form, {word: coeff} dicts multiplied by ``coeffalg._mul_into``,
 and so do the resolution checks in ``checks``.  ``bar_differential``,
 ``anick_delta_closed``, ``homotopy_f``, ``homotopy_g`` and
 ``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
-at return; the checks' Δ reads δ unwrapped, from ``_cached_delta_terms``.
+at return; the checks' Δ reads δ unwrapped, through the ``delta_memo`` of
+its ``checks.SymbolicModule``.
 
 ∇ of every module is S ⊗ I + T ⊗ E + L ⊗ B + Q ⊗ C, where S, L and Q are
 δ's coefficient matrices of 1, v(1) and v(0) and T twists v(0)'s by the
@@ -343,7 +344,6 @@ def matched_edge(cell):
 _f_memo = {}
 #: the pair of every split end, whose f and ascent are both 0
 _SPLIT_END = ({}, {})
-_delta_cache = {}  # chain -> δ's raw terms; filled by _cached_delta_terms
 #: (degree, max_sum) -> ∇'s module-free operators; filled by ``nabla_operators``
 _operator_cache = {}
 
@@ -373,10 +373,10 @@ def _zigzag(cell, _stack=None):
     a merged end read one matched edge and the raw bar differential
     ``_bar_terms`` of its partner.  The memo ``_f_memo`` keeps the pair,
     with each coefficient of f and of the ascent replaced by the memo's one
-    copy of its value (as in ``_cached_delta_terms``), and every split end
-    keeps the one pair ``_SPLIT_END``.  Its dicts are shared, so callers
-    read them and never change them, and the public maps wrap them as
-    ``AlgebraElement``s at return.
+    copy of its value, and every split end keeps the one pair
+    ``_SPLIT_END``.  Its dicts are shared, so callers read them and never
+    change them, and the public maps wrap them as ``AlgebraElement``s at
+    return.
     """
     cached = _f_memo.get(cell)
     if cached is not None:
@@ -497,21 +497,6 @@ def _closed_delta_terms(chain):
     return acc
 
 
-def _cached_delta_terms(chain):
-    """``_closed_delta_terms(chain)`` memoised in ``_delta_cache``, the δ
-    table that the checks' Δ (``checks.hochschild_delta``) reads; callers
-    never change the terms.  ∇ assembly does not read it: ``nabla_operators``
-    keeps a δ table of its own, two index-sum levels deep.  As in
-    ``checks.check_delta_squared``, the table also maps each coefficient's
-    frozen items to one shared copy of it."""
-    got = _delta_cache.get(chain)
-    if got is None:
-        got = _delta_cache[chain] = {
-            target: _delta_cache.setdefault(frozenset(terms.items()), terms)
-            for target, terms in _closed_delta_terms(chain).items()}
-    return got
-
-
 def _decrements(chain):
     """(k, iₖ, decₖ chain) for every index k whose decrement stays a chain:
     iₖ ≥ 1, and iₖ ≥ 2 unless k is the last index.  Each has sum(chain) − 1."""
@@ -549,8 +534,7 @@ def nabla_operators(degree, max_sum):
     callers read the arrays and never change them.  The
     build reads δ from a table of its own: the rows run in (sum, lex) order
     and a decrement of x has sum(x) − 1, so only the v(0) terms of the
-    previous sum's rows are kept, and ``_delta_cache`` is neither read nor
-    filled.
+    previous sum's rows are kept, and the table is dropped at return.
     """
     key = (degree, max_sum)
     got = _operator_cache.get(key)
@@ -584,20 +568,18 @@ def _build_operators(degree, max_sum):
 
 
 def clear_caches():
-    """Drop the memoized Morse traversal ``_f_memo`` (the pair of f and
-    the ascent of every cell ``_zigzag`` met, as raw terms, and the one
-    copy of each distinct coefficient the pairs share; split ends share the
-    constant ``_SPLIT_END``, which stays empty), the δ table
-    ``_delta_cache`` that the checks' Δ reads through
-    ``_cached_delta_terms``, shared coefficients included, and the table
-    ``_operator_cache`` of ∇'s operators per (degree, max_sum).  The δ
-    tables of ``checks.check_delta_squared`` and of the operator build are
-    local to one call and need no clearing.  Products in Λ keep no table
-    (``coeffalg._letter_word`` is a closed form), and the derivation twist
-    keeps none either: ``checks.d_map`` applies its decrement rule
-    directly."""
+    """Drop anick's two process-wide tables: the memoized Morse traversal
+    ``_f_memo`` (the pair of f and the ascent of every cell ``_zigzag`` met,
+    as raw terms, and the one copy of each distinct coefficient the pairs
+    share; split ends share the constant ``_SPLIT_END``, which stays empty)
+    and ``_operator_cache``, ∇'s operators per (degree, max_sum).  No δ
+    table is process-wide: those of the operator build and of
+    ``checks.check_delta_squared`` are local to one call, and the checks' Δ
+    reads the ``delta_memo`` of its ``checks.SymbolicModule``, freed with
+    it.  Products in Λ keep no table (``coeffalg._letter_word`` is a closed
+    form), and the derivation twist keeps none either: ``checks.d_map``
+    applies its decrement rule directly."""
     _f_memo.clear()
-    _delta_cache.clear()
     _operator_cache.clear()
 
 

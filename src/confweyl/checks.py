@@ -19,8 +19,9 @@ The symbolic cochain oracle is the route that ∇ assembly collapses:
 ``reduce_element``) and ∇ on one cochain (``reduced_delta``, the
 per-column oracle of ``cohomology.assemble_matrix``).  A ``SymbolicModule``
 wraps a ``FiniteModule``: it carries the letter action by Taylor's formula
-(``act_vn``, ``act_word``, ``act_algebra``) and owns Δ's action memo, one
-per check call.  ``check_locality_compat`` is the λ-degree criterion for
+(``act_vn``, ``act_word``, ``act_algebra``) and owns Δ's two memos, δ's
+raw terms per chain and the action per (coefficient, value), one pair per
+check call.  ``check_locality_compat`` is the λ-degree criterion for
 M(α,Δ).
 
 The resolution suites (``check_delta_squared``, ``check_morse_closed``,
@@ -49,7 +50,6 @@ import random
 
 from .anick import (
     _bar_terms,
-    _cached_delta_terms,
     _closed_delta_terms,
     _combine,
     _decrements,
@@ -545,14 +545,17 @@ def reduce_element(m):
 class SymbolicModule:
     """A ``FiniteModule`` (or its spec) acting on vectors of ∂-polynomials.
 
-    Reads the module's E, B, C and owns the action memo that Δ fills, so
-    the memo is freed with it.
+    Reads the module's E, B, C and owns both memos that Δ fills, δ's raw
+    terms per chain and the action of each coefficient on each value, so
+    they are freed with it.
     """
 
     def __init__(self, module):
         self.module = make_module(module)
         self.rank, self.spec = self.module.rank, self.module.spec
         self.E, self.B, self.C = self.module.E, self.module.B, self.module.C
+        # chain -> ``_closed_delta_terms(chain)``, filled by Δ
+        self.delta_memo = {}
         # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``_act``)
         self.action_memo = {}
 
@@ -703,14 +706,18 @@ def _act(module, terms, val):
 def hochschild_delta(phi, window):
     """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
 
-    The action of each δ coefficient on each value is memoised per module
-    (``SymbolicModule.action_memo``).
+    δ of each chain and the action of each δ coefficient on each value are
+    memoised per module (``SymbolicModule.delta_memo`` and ``action_memo``).
     """
     module = phi.module
+    memo = module.delta_memo
     out = {}
     for x in enumerate_chains(phi.degree + 1, window.W):
+        delta = memo.get(x)
+        if delta is None:
+            delta = memo[x] = _closed_delta_terms(x)
         acc = module.zero()
-        for y, terms in _cached_delta_terms(x).items():
+        for y, terms in delta.items():
             val = phi.values.get(y)
             if val is not None:
                 acc = acc + _act(module, terms, val)

@@ -3,12 +3,13 @@
 Subcommands: nf, chains, delta, homotopy, check, cohomology, verify.
 Output is deterministic (stable chain ordering, sorted JSON keys); exit
 codes: 0 success / all checks passed, 1 a check or verification failed,
-2 invalid input.
+2 invalid input or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -217,6 +218,7 @@ def _at_least(least):
     return parse
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="confweyl",
@@ -288,7 +290,7 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ModuleValidationError) as exc:
+    except (ValueError, ModuleValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

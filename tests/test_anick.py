@@ -334,27 +334,26 @@ def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _delta_cache, _f_memo, _operator_cache
+    from confweyl.anick import _f_memo, _operator_cache
     from confweyl.cohomology import Window, assemble_matrix
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
-    # assembly reads a δ table of its own, so the checks' one is filled directly
-    anick._cached_delta_terms((2, 1, 1))
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _delta_cache and _operator_cache
+    assert _f_memo and _operator_cache
     clear_caches()
-    assert not _f_memo and not _delta_cache and not _operator_cache
+    assert not _f_memo and not _operator_cache
 
 
 @pytest.mark.parametrize("degree, max_sum", [(0, 5), (1, 6), (3, 7), (5, 9)])
 def test_nabla_operators_are_compact_and_leave_the_delta_table_alone(degree, max_sum):
     # per column: increasing rows, each with an index into a palette of
-    # distinct nonzero (S, T, L, Q); the build fills no global δ table
+    # distinct nonzero (S, T, L, Q); the build's δ table is its own, so the
+    # one process-wide table it fills is the operator cache
     clear_caches()
     try:
         palette, columns = anick.nabla_operators(degree, max_sum)
-        assert not anick._delta_cache
+        assert not anick._f_memo
         assert anick.nabla_operators(degree, max_sum)[1] is columns
         assert list(anick._operator_cache) == [(degree, max_sum)]
         assert len(columns) == len(enumerate_chains(degree, max_sum))
@@ -368,28 +367,6 @@ def test_nabla_operators_are_compact_and_leave_the_delta_table_alone(degree, max
         assert used == set(range(len(palette)))
     finally:
         clear_caches()
-
-
-_table_chains = st.integers(1, 5).flatmap(
-    lambda degree: st.sampled_from(enumerate_chains(degree, 9)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(chains=st.lists(_table_chains, min_size=1, max_size=8))
-def test_delta_table_shares_equal_coefficients(chains):
-    # the δ table holds _closed_delta_terms' values in its key order, and
-    # equal coefficients, of one chain or of different chains, are one dict
-    shared = {}
-    for chain in chains:
-        got = anick._cached_delta_terms(chain)
-        want = anick._closed_delta_terms(chain)
-        assert [(t, list(terms.items())) for t, terms in got.items()] \
-            == [(t, list(terms.items())) for t, terms in want.items()], chain
-        assert anick._cached_delta_terms(chain) is got
-        for terms in got.values():
-            assert shared.setdefault(frozenset(terms.items()), terms) is terms
-            # only 1 and single letters v(n), which ∇ assembly reads
-            assert all(word is UNIT or word[0] == 0 for word in terms), chain
 
 
 def test_critical_cells_are_exactly_chain_cells():

@@ -173,6 +173,33 @@ def test_out_file(tmp_path, capture):
     assert doc["degree"] == 1
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capture, where):
+    # a path that cannot be opened for writing is an input error, not a crash
+    out_path = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = capture("chains", "--degree", "1", "--max-sum", "2",
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_second_run_builds_no_parser(capture, monkeypatch):
+    import argparse
+
+    capture("chains", "--degree", "1", "--max-sum", "2")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = capture("chains", "--degree", "1", "--max-sum", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == 3
+    assert built == []
+
+
 def test_invalid_inputs_exit_2(capture):
     assert capture("delta", "[0|3]")[0] == 2
     assert capture("nf", "w(2)")[0] == 2

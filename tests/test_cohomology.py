@@ -448,6 +448,23 @@ def test_action_memo_matches_a_fresh_action(module, x, data):
     assert _act(twin, x.terms, m) == want
     assert len(twin.action_memo) == 1
     del symbolic.action_memo[key]
+    # Δ fills its module's δ memo with _closed_delta_terms, in its key order
+    window = Window(4, 0)
+    phi = Cochain(1, symbolic, {(1,): symbolic.basis()[0]})
+    image = hochschild_delta(phi, window)
+    assert list(symbolic.delta_memo) == enumerate_chains(2, window.W)
+    for chain, delta in symbolic.delta_memo.items():
+        want_delta = anick._closed_delta_terms(chain)
+        assert [(y, list(terms.items())) for y, terms in delta.items()] \
+            == [(y, list(terms.items())) for y, terms in want_delta.items()], chain
+    assert not twin.delta_memo
+    # [1] is no target of δ[2|2], so a memo entry that maps [2|2] to 1·[1]
+    # changes Δ there, on its own module only
+    assert (1,) not in symbolic.delta_memo[(2, 2)] and (2, 2) not in image.values
+    symbolic.delta_memo[(2, 2)] = {(1,): {UNIT: 1}}
+    assert hochschild_delta(phi, window).values[(2, 2)] == phi.value((1,))
+    twin_phi = Cochain(1, twin, {(1,): twin.basis()[0]})
+    assert hochschild_delta(twin_phi, window).values == image.values
     # the module itself keeps no memo: its one dict is its parameters
     assert [name for name, v in vars(twin.module).items() if isinstance(v, dict)] == ["params"]
 
@@ -503,8 +520,8 @@ _V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
 
 
 def _oracle_assemble(degree, module, window):
-    """∇ by the one-pass assembly that read δ through the global δ table
-    and computed S, T, L, Q per module: every row x, then its decrements."""
+    """∇ by the one-pass assembly that read δ of every row and of each of
+    its decrements afresh and computed S, T, L, Q per module."""
     module = make_module(module)
     rank, E, B, C = module.rank, module.E, module.B, module.C
     col_labels = coordinate_labels(degree, module, window)
@@ -513,9 +530,9 @@ def _oracle_assemble(degree, module, window):
     columns = [{} for _ in col_labels]
     for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
         weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
-                   for y, terms in anick._cached_delta_terms(x).items()}  # y -> [S, T, L, Q]
+                   for y, terms in anick._closed_delta_terms(x).items()}  # y -> [S, T, L, Q]
         for _, i, dec in anick._decrements(x):
-            for y, terms in anick._cached_delta_terms(dec).items():
+            for y, terms in anick._closed_delta_terms(dec).items():
                 q = terms.get(_V0)
                 if q:
                     weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q

@@ -87,7 +87,6 @@ _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.Set
 # every module-level dict, list or set in the package, as module.name
 MODULE_TABLES = {
     "anick._f_memo",
-    "anick._delta_cache",
     "anick._operator_cache",
     "checks.SUITES",
     "poly._VAR_INDEX",
