@@ -41,27 +41,12 @@ raw stored form, {word: coeff} dicts multiplied by ``coeffalg._mul_into``,
 and so do the resolution checks in ``checks``.  ``bar_differential``,
 ``anick_delta_closed``, ``homotopy_f``, ``homotopy_g`` and
 ``anick_delta_morse`` wrap each target's terms as an ``AlgebraElement`` once,
-at return; the checks' Δ reads δ unwrapped, through the ``delta_memo`` of
-its ``checks.SymbolicModule``.
-
-∇ of every module is S ⊗ I + T ⊗ E + L ⊗ B + Q ⊗ C, where S, L and Q are
-δ's coefficient matrices of 1, v(1) and v(0) and T twists v(0)'s by the
-decrements of each chain (``_decrements``); none depends on the module.
-``nabla_operators`` builds the four once per (degree, max_sum), reading δ
-unwrapped from a table local to the build, and keeps them in
-``_operator_cache`` as a palette of distinct (S, T, L, Q) plus, per column,
-compact arrays of rows and palette indices.  ``cohomology.assemble_matrix``
-combines them with each module's E, B, C.
-
-The derivation twist D is not built here.  ``checks.d_map`` applies
-its decrement rule, and the Morse route to it (∂ of ``homotopy_g`` through
-``bar_derivation`` and the derivation of Λ) survives only as the oracle
-``checks.oracle_twist_terms``.
+at return.  ``cohomology.nabla_operators`` reads δ unwrapped, and so does
+the checks' Δ, through the ``delta_memo`` of its ``checks.SymbolicModule``.
 """
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from math import comb
 
@@ -72,7 +57,6 @@ from .coeffalg import (
     _letter_word,
     _mul_into,
     _scaled,
-    normal_form,
     parse_word,
     render_word,
 )
@@ -104,16 +88,14 @@ def is_chain(word, degree):
 MAX_CHAINS = 10 ** 6
 
 
-def chain_sort_key(chain):
-    return (sum(chain), chain)
-
-
 def enumerate_chains(degree, max_sum):
     """All degree-n chains (i₁,…,iₙ) with Σiⱼ ≤ max_sum, in (sum, lex) order.
 
     Constraints: i₁,…,iₙ₋₁ ≥ 1 and iₙ ≥ 0 (for degree 1 just i₁ ≥ 0).
     Degree 0 yields the single empty chain.  There are C(max_sum+1, n) of
-    them; more than ``MAX_CHAINS`` is refused before any is built.
+    them; more than ``MAX_CHAINS`` is refused before any is built.  They are
+    listed sum by sum, and within a sum the interior indices run upward
+    and the last index takes what is left, which is lex order.
     """
     if degree < 0 or max_sum < 0:
         raise ValueError("need degree >= 0 and max_sum >= 0")
@@ -125,16 +107,16 @@ def enumerate_chains(degree, max_sum):
         return [()]
     out = []
 
-    def rec(prefix, remaining, pos):
-        if pos == degree - 1:
-            for last in range(0, remaining + 1):
-                out.append(prefix + (last,))
+    def rec(prefix, remaining, interior):
+        # ``interior`` indices ≥ 1 are still to place before the last one
+        if not interior:
+            out.append(prefix + (remaining,))
             return
-        for i in range(1, remaining + 1):
-            rec(prefix + (i,), remaining - i, pos + 1)
+        for i in range(1, remaining - interior + 2):
+            rec(prefix + (i,), remaining - i, interior - 1)
 
-    rec((), max_sum, 0)
-    out.sort(key=chain_sort_key)
+    for total in range(max_sum + 1):
+        rec((), total, degree - 1)
     return out
 
 
@@ -344,8 +326,6 @@ def matched_edge(cell):
 _f_memo = {}
 #: the pair of every split end, whose f and ascent are both 0
 _SPLIT_END = ({}, {})
-#: (degree, max_sum) -> ∇'s module-free operators; filled by ``nabla_operators``
-_operator_cache = {}
 
 
 def _combine(acc, coeff, combo):
@@ -497,90 +477,14 @@ def _closed_delta_terms(chain):
     return acc
 
 
-def _decrements(chain):
-    """(k, iₖ, decₖ chain) for every index k whose decrement stays a chain:
-    iₖ ≥ 1, and iₖ ≥ 2 unless k is the last index.  Each has sum(chain) − 1."""
-    n = len(chain)
-    for k in range(n):
-        i = chain[k]
-        if i == 0:
-            continue
-        dec = chain[:k] + (i - 1,) + chain[k:][1:]
-        # interior indices of a chain stay >= 1
-        if k < n - 1 and i - 1 < 1:
-            continue
-        yield k, i, dec
-
-
-_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
-
-
-def nabla_operators(degree, max_sum):
-    """∇^degree's module-free operators S, T, L, Q at sum ≤ max_sum.
-
-    For every module, ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ
-    (``cohomology.assemble_matrix``), where S, L and Q are the coefficients
-    of 1, v(1) and v(0) in δ(x) at y and T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over
-    the decrements of x.  Returns (palette, columns): the palette is a tuple
-    of the distinct nonzero (S, T, L, Q), and columns[k], for the k-th
-    degree-n chain y of ``enumerate_chains``, is a pair of arrays, the
-    positions x of the degree-(n+1) rows where an operator is nonzero at y,
-    increasing, and for each the index of its (S, T, L, Q) in the palette.
-    Both arrays take ``'I'``, four bytes wherever CPython runs, which holds
-    any row count that ``MAX_CHAINS`` admits and any palette size (at most
-    the number of entries).
-
-    Built once per (degree, max_sum) and kept in ``_operator_cache``;
-    callers read the arrays and never change them.  The
-    build reads δ from a table of its own: the rows run in (sum, lex) order
-    and a decrement of x has sum(x) − 1, so only the v(0) terms of the
-    previous sum's rows are kept, and the table is dropped at return.
-    """
-    key = (degree, max_sum)
-    got = _operator_cache.get(key)
-    if got is None:
-        got = _operator_cache[key] = _build_operators(degree, max_sum)
-    return got
-
-
-def _build_operators(degree, max_sum):
-    rows = enumerate_chains(degree + 1, max_sum)
-    position = {y: k for k, y in enumerate(enumerate_chains(degree, max_sum))}
-    columns = [(array("I"), array("I")) for _ in position]
-    palette = {}  # (S, T, L, Q) -> its index
-    level, previous, current = None, {}, {}  # chain -> {y: [v(0)]δ(chain) at y}
-    for r, x in enumerate(rows):
-        if sum(x) != level:
-            level, previous, current = sum(x), current, {}
-        delta = _closed_delta_terms(x)
-        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
-                   for y, terms in delta.items()}  # y -> [S, T, L, Q]
-        current[x] = {y: w[3] for y, w in weights.items() if w[3]}
-        for _, i, dec in _decrements(x):
-            for y, q in previous[dec].items():
-                weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
-        for y, w in weights.items():
-            if any(w):
-                at, entries = columns[position[y]]
-                at.append(r)
-                entries.append(palette.setdefault(tuple(w), len(palette)))
-    return tuple(palette), columns
-
-
 def clear_caches():
-    """Drop anick's two process-wide tables: the memoized Morse traversal
-    ``_f_memo`` (the pair of f and the ascent of every cell ``_zigzag`` met,
+    """Drop anick's one process-wide table, the memoized Morse traversal
+    ``_f_memo``: the pair of f and the ascent of every cell ``_zigzag`` met,
     as raw terms, and the one copy of each distinct coefficient the pairs
-    share; split ends share the constant ``_SPLIT_END``, which stays empty)
-    and ``_operator_cache``, ∇'s operators per (degree, max_sum).  No δ
-    table is process-wide: those of the operator build and of
-    ``checks.check_delta_squared`` are local to one call, and the checks' Δ
-    reads the ``delta_memo`` of its ``checks.SymbolicModule``, freed with
-    it.  Products in Λ keep no table (``coeffalg._letter_word`` is a closed
-    form), and the derivation twist keeps none either: ``checks.d_map``
-    applies its decrement rule directly."""
+    share.  Split ends share the constant ``_SPLIT_END``, which stays empty.
+    ∇'s operators are ``cohomology.nabla_operators``'s own cache, emptied by
+    its ``cache_clear()``."""
     _f_memo.clear()
-    _operator_cache.clear()
 
 
 # -- rendering ------------------------------------------------------------------------
@@ -612,13 +516,11 @@ def parse_cell(text):
         return ()
     slots = []
     for part in inner.split("|"):
+        # a normal word is v(0)ᵏv(n): every letter but the last is v(0)
         letters = parse_word(part)
-        nf = normal_form(letters)
-        words = list(nf.terms)
-        if len(words) != 1 or words[0] is UNIT or nf.terms[words[0]] != 1 \
-                or cell_letters((words[0],)) != letters:
+        if any(letters[:-1]):
             raise ValueError(f"slot {part!r} is not a normal word")
-        slots.append(words[0])
+        slots.append((len(letters) - 1, letters[-1]))
     return tuple(slots)
 
 

@@ -6,7 +6,8 @@ chosen position, repeat to a fixpoint) as an oracle independent of the
 closed-form engine in coeffalg.  ``oracle_is_chain`` is Anick's generic chain
 definition, the reference the tests hold ``anick.is_chain`` to, and
 ``oracle_twist_terms`` is the Morse route to the derivation twist D, the
-reference for its decrement rule in ``d_map``.
+reference for its decrement rule in ``d_map`` (``cohomology._decrements``,
+which ∇'s operators read too).
 ``oracle_associativity_residual`` expands a module's associativity identity
 symbolically through a λ-action built from E, B, C at call time, the
 reference for the matrix check ``modules._validate``.  No engine path calls
@@ -52,7 +53,6 @@ from .anick import (
     _bar_terms,
     _closed_delta_terms,
     _combine,
-    _decrements,
     _g_terms,
     _morse_delta_terms,
     _zigzag,
@@ -72,7 +72,7 @@ from .coeffalg import (
     derivation as lambda_derivation,
     normal_form,
 )
-from .cohomology import Window, WindowComplex
+from .cohomology import Window, WindowComplex, _decrements
 from .conformal import ConformalElement, check_associativity, lambda_product, n_product
 from .modules import make_module
 from .poly import Poly, D, L, M as MU, split_constant

@@ -22,18 +22,23 @@ The differential ∇ = reduce ∘ Δ ∘ include is canonical: processing chains
 in (sum, lex) order, the scalar reduction peels
 b = φ[c] - Σ_k i_k·h[c with i_k decremented] and splits b = s[c] + ∂·h[c],
 and s is the unique scalar-valued representative of φ modulo the
-derivation twist (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``anick._decrements``).
-Every module acts by v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ and δ's
-coefficients hold only 1 and letters v(n), so on the delta-function basis
-the reduction's ∂-quotients are constants read one sum down and
+derivation twist (Dφ)[c] = ∂φ[c] + Σ_k i_k φ[dec_k c] (``_decrements``).
+Every module acts by v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ, so on the
+delta-function basis of scalar cochains
 
     ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
 
 with S, L, Q the coefficients of 1, v(1), v(0) in δ(x) at y and
-T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y.  None of S, T, L, Q depends on the
-module: ``anick.nabla_operators`` builds them once per (degree, W), for
-every module and every complex in the process, and ``assemble_matrix`` is
-the per-module pass that combines them with E, B, C, with no module
+T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over the decrements of x.  The reason:
+δ's coefficients hold only 1 and letters v(n)
+(``anick._closed_delta_terms``), and on a constant eⱼ the letters act as
+v(0)eⱼ = (E∂ + C)eⱼ, v(1)eⱼ = Beⱼ and v(n ≥ 2)eⱼ = 0.  So Δ of the basis
+cochain at (y, j) is Q·E eⱼ·∂ plus constants at every x, its ∂-quotient
+h[x] = Q·E eⱼ is a constant, and peeling Σₖ iₖ·h[decₖ x] leaves the
+constant T·E eⱼ + (S + L·B + Q·C)eⱼ.  None of S, T, L, Q depends on the
+module: ``nabla_operators`` builds them once per (degree, W), for every
+module and every complex in the process, and ``assemble_matrix`` is the
+per-module pass that combines them with E, B, C, with no module
 arithmetic.  The entries keep ``coeffalg._exact``'s stored form, so
 ``ratmat`` gets integral rows as ints.  The symbolic route on cochains of
 ∂-polynomials (``checks.reduced_delta``) is the per-column oracle in the
@@ -42,12 +47,15 @@ tests.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from math import comb
 
-from .anick import enumerate_chains, nabla_operators
-from .coeffalg import _exact
+from .anick import _closed_delta_terms, enumerate_chains
+from .coeffalg import UNIT, _exact
 from .modules import make_module
 from .ratmat import RationalMatrix, rank_profile
 
@@ -82,33 +90,76 @@ def coordinate_labels(degree, module, window):
     return labels
 
 
+def _decrements(chain):
+    """(k, iₖ, decₖ chain) for every index k whose decrement stays a chain:
+    iₖ ≥ 1, and iₖ ≥ 2 unless k is the last index.  Each has sum(chain) − 1."""
+    n = len(chain)
+    for k in range(n):
+        i = chain[k]
+        if i == 0:
+            continue
+        dec = chain[:k] + (i - 1,) + chain[k:][1:]
+        # interior indices of a chain stay >= 1
+        if k < n - 1 and i - 1 < 1:
+            continue
+        yield k, i, dec
+
+
+_V0, _V1 = (0, 0), (0, 1)  # the words v(0) and v(1)
+
+
+@cache
+def nabla_operators(degree, max_sum):
+    """∇^degree's module-free operators S, T, L, Q at sum ≤ max_sum.
+
+    Returns (palette, columns): the palette is a tuple of the distinct
+    nonzero (S, T, L, Q), and columns[k], for the k-th degree-n chain y of
+    ``enumerate_chains``, is a pair of arrays, the positions x of the
+    degree-(n+1) rows where an operator is nonzero at y, increasing, and
+    for each the index of its (S, T, L, Q) in the palette.  Both arrays take
+    ``'I'``, four bytes wherever CPython runs, which holds any row count
+    that ``MAX_CHAINS`` admits and any palette size (at most the number of
+    entries).  Every call with one (degree, max_sum) returns the same
+    objects, which callers read and never change; ``cache_info()`` counts
+    the builds and ``cache_clear()`` drops them.
+
+    δ is read from a table local to the build: the rows run in (sum, lex)
+    order and a decrement of x has sum(x) − 1, so only the v(0) terms of
+    the previous sum's rows are kept.
+    """
+    rows = enumerate_chains(degree + 1, max_sum)
+    position = {y: k for k, y in enumerate(enumerate_chains(degree, max_sum))}
+    columns = [(array("I"), array("I")) for _ in position]
+    palette = {}  # (S, T, L, Q) -> its index
+    level, previous, current = None, {}, {}  # chain -> {y: [v(0)]δ(chain) at y}
+    for r, x in enumerate(rows):
+        if sum(x) != level:
+            level, previous, current = sum(x), current, {}
+        delta = _closed_delta_terms(x)
+        weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
+                   for y, terms in delta.items()}  # y -> [S, T, L, Q]
+        current[x] = {y: w[3] for y, w in weights.items() if w[3]}
+        for _, i, dec in _decrements(x):
+            for y, q in previous[dec].items():
+                weights.setdefault(y, [0, 0, 0, 0])[1] -= i * q
+        for y, w in weights.items():
+            if any(w):
+                at, entries = columns[position[y]]
+                at.append(r)
+                entries.append(palette.setdefault(tuple(w), len(palette)))
+    return tuple(palette), tuple(columns)
+
+
 def assemble_matrix(degree, module, window):
     """Matrix of ∇^degree on the delta-function basis of scalar cochains.
 
     Columns: degree-n chains (sum ≤ W) × module coordinates; rows: the same
     for degree n+1.  Degree 0 has the single empty chain per coordinate.
-
-    With no module arithmetic:
-
-        ∇[(x,i),(y,j)] = S·δᵢⱼ + T·Eᵢⱼ + L·Bᵢⱼ + Q·Cᵢⱼ,
-
-    where S, L and Q are the coefficients of 1, v(1) and v(0) in δ(x) at y
-    and T = −Σₖ iₖ·[v(0)]δ(decₖ x) at y over the decrements of x.  This is
-    the canonical reduction of ``checks.reduced_delta``, which stays its
-    per-column oracle: δ's coefficients hold only 1 and letters v(n)
-    (``anick._closed_delta_terms``), and on a constant eⱼ the letters act
-    as v(0)eⱼ = (E∂ + C)eⱼ, v(1)eⱼ = Beⱼ and v(n ≥ 2)eⱼ = 0.  So Δ of the
-    basis cochain at (y, j) is Q·E eⱼ·∂ plus constants at every x, its
-    ∂-quotient h[x] = Q·E eⱼ is a constant, and peeling Σₖ iₖ·h[decₖ x]
-    leaves the constant T·E eⱼ + (S + L·B + Q·C)eⱼ.
-
-    S, T, L and Q do not depend on the module, so they are built once per
-    (degree, W) by ``anick.nabla_operators``, as a palette of distinct
-    (S, T, L, Q) and per column y the rows x with their palette indices.
-    Here each palette entry's r×r block S·I + T·E + L·B + Q·C is computed
-    once, and one pass over the entries places the blocks; each column's
-    keys come in increasing row order.  The entries keep the stored form,
-    an ``int`` when integral.
+    The per-module pass over ``nabla_operators(degree, W)``: each palette
+    entry's r×r block S·I + T·E + L·B + Q·C is computed once, and one pass
+    over the entries places the blocks; each column's keys come in
+    increasing row order.  The entries keep the stored form, an ``int``
+    when integral.
     """
     module = make_module(module)
     rank, E, B, C = module.rank, module.E, module.B, module.C
@@ -218,10 +269,10 @@ class WindowComplex:
         a column vector of ∇ⁿ indexed by degree-n chains, which are the rows
         of ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
         """
-        params = self.module.params
-        if self.module.rank != 1 or params.get("delta") != 1:
+        module = self.module
+        if module.E != ((1,),) or module.B != ((1,),):
             raise ValueError("theorem constructions apply to the rank-1 modules M(alpha,1)")
-        alpha = params["alpha"]
+        alpha = Fraction(module.C[0][0])
         if n < 2:
             raise ValueError("constructions start at degree 2")
         a_n, a_prev = self.nabla(n), self.nabla(n - 1)

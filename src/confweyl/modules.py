@@ -11,6 +11,11 @@ Shipped families:
   trivial       rank 1, v ∘λ u = 0
   ext(α,β,γ)    rank 2, v ∘λ u = (λ+∂+α)u,  v ∘λ w = (λ+∂+β)w + γu
 
+A ``FiniteModule`` holds E, B, C and its spec string, nothing else: a
+family's parameters are read back off the matrices (the theorem
+constructions read α of M(α,1) as C₁₁), and ``cohomology.assemble_matrix``
+combines the matrices with ∇'s module-free operators.
+
 Construction validates the associativity identity
 v ∘λ (v ∘μ m) = (v ∘λ v) ∘_{λ+μ} m on every basis vector from the matrices
 alone: on eⱼ the residual is column j of
@@ -40,10 +45,12 @@ class FiniteModule:
     """Free finite-rank conformal U(2)-module given by its matrices E, B, C.
 
     v ∘λ eⱼ = Σᵢ (Eᵢⱼ∂ + Bᵢⱼλ + Cᵢⱼ) eᵢ; the matrices are tuples of rows in
-    stored form (``coeffalg._exact``).
+    stored form (``coeffalg._exact``).  The three matrices and the spec
+    string are all a module holds: whatever reads a family's parameters,
+    such as α of M(α,1), reads them off E, B, C.
     """
 
-    def __init__(self, E, B, C, spec, params=None):
+    def __init__(self, E, B, C, spec):
         self.E, self.B, self.C = (tuple(tuple(_exact(c) for c in row) for row in mat)
                                   for mat in (E, B, C))
         self.rank = len(self.E)
@@ -51,7 +58,6 @@ class FiniteModule:
                for mat in (self.E, self.B, self.C)):
             raise ValueError("E, B and C must be square matrices of one size")
         self.spec = spec
-        self.params = dict(params or {})
 
     def __str__(self):
         return self.spec
@@ -100,20 +106,18 @@ _SPEC_EXT = re.compile(
 def module_m(alpha, delta):
     alpha, delta = Fraction(alpha), Fraction(delta)
     spec = f"M(alpha={alpha},delta={delta})"
-    return _validate(FiniteModule(((1,),), ((delta,),), ((alpha,),), spec,
-                                  {"alpha": alpha, "delta": delta}))
+    return _validate(FiniteModule(((1,),), ((delta,),), ((alpha,),), spec))
 
 
 def module_trivial():
-    return _validate(FiniteModule(((0,),), ((0,),), ((0,),), "trivial", {}))
+    return _validate(FiniteModule(((0,),), ((0,),), ((0,),), "trivial"))
 
 
 def module_ext(alpha, beta, gamma):
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
     identity = ((1, 0), (0, 1))
     spec = f"ext(alpha={alpha},beta={beta},gamma={gamma})"
-    return _validate(FiniteModule(identity, identity, ((alpha, gamma), (0, beta)), spec,
-                                  {"alpha": alpha, "beta": beta, "gamma": gamma}))
+    return _validate(FiniteModule(identity, identity, ((alpha, gamma), (0, beta)), spec))
 
 
 def _spec_numbers(match, spec):

@@ -107,6 +107,14 @@ def test_enumerate_chains_agrees_with_is_chain():
             member = oracle_is_chain(tup, degree - 1) and sum(tup) <= 4
             assert (tup in listed) == member, (tup, degree)
             assert is_chain(tup, degree - 1) == oracle_is_chain(tup, degree - 1)
+    # the list itself is the brute-force product's chains, (sum, lex)-sorted
+    for degree in range(5):
+        for W in range(7):
+            product = itertools.product(range(W + 1), repeat=degree)
+            want = sorted((tup for tup in product
+                           if sum(tup) <= W and oracle_is_chain(tup, degree - 1)),
+                          key=lambda tup: (sum(tup), tup))
+            assert enumerate_chains(degree, W) == want, (degree, W)
 
 
 def test_bar_differential_examples():
@@ -334,39 +342,18 @@ def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
 
 
 def test_clear_caches_drops_every_table():
-    from confweyl.anick import _f_memo, _operator_cache
-    from confweyl.cohomology import Window, assemble_matrix
+    # anick's one table is the traversal memo; ∇'s operators are
+    # cohomology's, cleared by their own cache_clear() and not by anick
+    from confweyl.cohomology import Window, assemble_matrix, nabla_operators
 
     homotopy_g((2, 1, 1))
     homotopy_f(((1, 5),))
     assemble_matrix(2, "M(alpha=1,delta=1)", Window(4, 0))
-    assert _f_memo and _operator_cache
+    assert _f_memo and nabla_operators.cache_info().currsize
     clear_caches()
-    assert not _f_memo and not _operator_cache
-
-
-@pytest.mark.parametrize("degree, max_sum", [(0, 5), (1, 6), (3, 7), (5, 9)])
-def test_nabla_operators_are_compact_and_leave_the_delta_table_alone(degree, max_sum):
-    # per column: increasing rows, each with an index into a palette of
-    # distinct nonzero (S, T, L, Q); the build's δ table is its own, so the
-    # one process-wide table it fills is the operator cache
-    clear_caches()
-    try:
-        palette, columns = anick.nabla_operators(degree, max_sum)
-        assert not anick._f_memo
-        assert anick.nabla_operators(degree, max_sum)[1] is columns
-        assert list(anick._operator_cache) == [(degree, max_sum)]
-        assert len(columns) == len(enumerate_chains(degree, max_sum))
-        nrows = len(enumerate_chains(degree + 1, max_sum))
-        assert len(set(palette)) == len(palette) and all(any(w) for w in palette)
-        used = set()
-        for rows, entries in columns:
-            assert rows.typecode == entries.typecode == "I" and len(rows) == len(entries)
-            assert list(rows) == sorted(set(rows)) and all(r < nrows for r in rows)
-            used.update(entries)
-        assert used == set(range(len(palette)))
-    finally:
-        clear_caches()
+    assert not _f_memo and nabla_operators.cache_info().currsize
+    nabla_operators.cache_clear()
+    assert not nabla_operators.cache_info().currsize
 
 
 def test_critical_cells_are_exactly_chain_cells():
@@ -657,10 +644,39 @@ def test_chain_text_forms():
     assert parse_chain("[]") == ()
     assert render_chain((2, 1, 0)) == "[2|1|0]"
     assert parse_cell("[v(1)|v(0)v(2)]") == ((0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        parse_cell("[v(1)v(2)]")  # not a normal word
+    with pytest.raises(ValueError, match="is not a normal word"):
+        parse_cell("[v(1)v(2)]")
     combo = anick_delta_morse((2, 3))
     assert render_combination(combo, render_chain) == "v(2)*[3] - 2*[4] - v(0)*[5]"
+
+
+def _parse_slot_by_normal_form(letters):
+    """A slot read by rewriting: a normal word is its own normal form, one
+    word with coefficient 1 whose letters are the slot's."""
+    nf = coeffalg.normal_form(letters)
+    words = list(nf.terms)
+    if len(words) != 1 or words[0] is UNIT or nf.terms[words[0]] != 1 \
+            or cell_letters((words[0],)) != letters:
+        return None
+    return words[0]
+
+
+def test_parse_cell_reads_slots_as_rewriting_does():
+    # every letter tuple of length 1–5 with indices ≤ 3 (1364 of them)
+    import itertools
+
+    seen = 0
+    for length in range(1, 6):
+        for letters in itertools.product(range(4), repeat=length):
+            text = "[" + "".join(f"v({i})" for i in letters) + "]"
+            want = _parse_slot_by_normal_form(letters)
+            if want is None:
+                with pytest.raises(ValueError, match="is not a normal word"):
+                    parse_cell(text)
+            else:
+                assert parse_cell(text) == (want,), letters
+            seen += 1
+    assert seen == 1364
 
 
 def _merged_partner_by_every_cut(cell):

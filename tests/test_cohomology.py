@@ -24,9 +24,11 @@ from confweyl.checks import (
 from confweyl.cohomology import (
     Window,
     WindowComplex,
+    _decrements,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
+    nabla_operators,
     verify_theorem_constructions,
 )
 from confweyl.coeffalg import UNIT, AlgebraElement
@@ -284,6 +286,18 @@ def test_verify_theorem_constructions():
         verify_theorem_constructions(module_m(0, 1), 1, Window(8, 3))
 
 
+@pytest.mark.parametrize("alpha", [1, Fraction(-3, 2)])
+def test_constructions_read_alpha_off_the_matrices(alpha):
+    # a module built from its matrices gets the verdict of the spec it equals,
+    # with α read as a Fraction even when C holds an int
+    built = _matrix_module(((1,),), ((1,),), ((alpha,),))
+    spec = WindowComplex(f"M(alpha={alpha},delta=1)", Window(9)).constructions(3)
+    assert WindowComplex(built, Window(9)).constructions(3) == spec
+    for other in ("M(alpha=1,delta=0)", "trivial", "ext(alpha=1,beta=1,gamma=0)"):
+        with pytest.raises(ValueError, match=r"apply to the rank-1 modules M\(alpha,1\)"):
+            WindowComplex(other, Window(9)).constructions(3)
+
+
 # kernel vectors that are no cocycles, so every construction path must report
 _NON_COCYCLES = [{0: 1}, {3: 2}, {7: Fraction(-1, 3), 12: 5}, {20: 1}]
 
@@ -465,8 +479,8 @@ def test_action_memo_matches_a_fresh_action(module, x, data):
     assert hochschild_delta(phi, window).values[(2, 2)] == phi.value((1,))
     twin_phi = Cochain(1, twin, {(1,): twin.basis()[0]})
     assert hochschild_delta(twin_phi, window).values == image.values
-    # the module itself keeps no memo: its one dict is its parameters
-    assert [name for name, v in vars(twin.module).items() if isinstance(v, dict)] == ["params"]
+    # the module itself keeps no memo: it holds no dict at all
+    assert [name for name, v in vars(twin.module).items() if isinstance(v, dict)] == []
 
 
 def test_assembly_builds_no_algebra_element(monkeypatch):
@@ -489,7 +503,9 @@ def test_assembly_builds_no_algebra_element(monkeypatch):
         made.append(terms)
         init(self, terms)
 
-    clear_caches()  # the operators, and every δ their build reads, come from this assembly
+    # the operators, and every δ their build reads, come from this assembly
+    clear_caches()
+    nabla_operators.cache_clear()
     for name, mod in list(sys.modules.items()):
         if name.startswith("confweyl") and getattr(mod, "_element", None) is element:
             monkeypatch.setattr(mod, "_element", counting_element)
@@ -531,7 +547,7 @@ def _oracle_assemble(degree, module, window):
     for row, x in enumerate(enumerate_chains(degree + 1, window.W)):
         weights = {y: [terms.get(UNIT, 0), 0, terms.get(_V1, 0), terms.get(_V0, 0)]
                    for y, terms in anick._closed_delta_terms(x).items()}  # y -> [S, T, L, Q]
-        for _, i, dec in anick._decrements(x):
+        for _, i, dec in _decrements(x):
             for y, terms in anick._closed_delta_terms(dec).items():
                 q = terms.get(_V0)
                 if q:
@@ -562,16 +578,17 @@ def _matrix_key(matrix):
             _typed_columns(matrix.columns))
 
 
-def _count_operator_builds(monkeypatch):
-    builds = []
-    build = anick._build_operators
-
-    def counting(degree, max_sum):
-        builds.append((degree, max_sum))
-        return build(degree, max_sum)
-
-    monkeypatch.setattr(anick, "_build_operators", counting)
-    return builds
+def _operators_cached_are(keys):
+    """Whether the operator cache holds exactly ``keys``, each built once:
+    its misses and size are len(keys), and reading every key again is a hit
+    that builds nothing."""
+    info = nabla_operators.cache_info()
+    if info.misses != len(keys) or info.currsize != len(keys):
+        return False
+    for key in keys:
+        nabla_operators(*key)
+    after = nabla_operators.cache_info()
+    return after.misses == info.misses and after.hits == info.hits + len(keys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,16 +602,42 @@ def test_shared_operators_assemble_what_the_oracle_does(grid, data):
     jobs = data.draw(st.lists(st.tuples(modules, st.sampled_from(grid)), min_size=1,
                               max_size=4))
     anick.clear_caches()
-    with pytest.MonkeyPatch.context() as patch:
-        builds = _count_operator_builds(patch)
-        got = [assemble_matrix(degree, module, Window(W, 0)) for module, (degree, W) in jobs]
+    nabla_operators.cache_clear()
+    got = [assemble_matrix(degree, module, Window(W, 0)) for module, (degree, W) in jobs]
     met = {key for _, key in jobs}
-    assert set(anick._operator_cache) == met and sorted(builds) == sorted(met)
+    assert _operators_cached_are(met)
     for (module, (degree, W)), matrix in zip(jobs, got):
         anick.clear_caches()
+        nabla_operators.cache_clear()
         cold = assemble_matrix(degree, module, Window(W, 0))
         want = _oracle_assemble(degree, module, Window(W, 0))
         assert _matrix_key(matrix) == _matrix_key(want) == _matrix_key(cold)
+
+
+@pytest.mark.parametrize("degree, max_sum", [(0, 5), (1, 6), (3, 7), (5, 9)])
+def test_nabla_operators_are_compact_and_leave_the_delta_table_alone(degree, max_sum):
+    # per column: increasing rows, each with an index into a palette of
+    # distinct nonzero (S, T, L, Q); the build's δ table is its own, so the
+    # one process-wide table it fills is the operator cache
+    anick.clear_caches()
+    nabla_operators.cache_clear()
+    try:
+        palette, columns = nabla_operators(degree, max_sum)
+        assert not anick._f_memo
+        assert nabla_operators(degree, max_sum)[1] is columns
+        assert _operators_cached_are({(degree, max_sum)})
+        assert len(columns) == len(enumerate_chains(degree, max_sum))
+        nrows = len(enumerate_chains(degree + 1, max_sum))
+        assert len(set(palette)) == len(palette) and all(any(w) for w in palette)
+        used = set()
+        for rows, entries in columns:
+            assert rows.typecode == entries.typecode == "I" and len(rows) == len(entries)
+            assert list(rows) == sorted(set(rows)) and all(r < nrows for r in rows)
+            used.update(entries)
+        assert used == set(range(len(palette)))
+    finally:
+        anick.clear_caches()
+        nabla_operators.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -732,11 +775,12 @@ def test_criteria_share_one_complex_per_window(monkeypatch, criterion, assemblie
     # criterion (criterion 8's α ∈ {0, 1}) share the operators of every
     # (degree, W): each is built once
     anick.clear_caches()
+    nabla_operators.cache_clear()
     calls = _count_assemblies(monkeypatch)
-    builds = _count_operator_builds(monkeypatch)
     assert criterion()["passed"]
     assert len(calls) == assemblies
-    assert len(builds) == len(set(builds)) == assemblies // 2
+    info = nabla_operators.cache_info()  # a key is missed once: misses are distinct builds
+    assert info.misses == info.currsize == assemblies // 2
 
 
 @settings(max_examples=40, deadline=None)

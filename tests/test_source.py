@@ -87,7 +87,6 @@ _TABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.Set
 # every module-level dict, list or set in the package, as module.name
 MODULE_TABLES = {
     "anick._f_memo",
-    "anick._operator_cache",
     "checks.SUITES",
     "poly._VAR_INDEX",
     "poly._P_ZERO.terms",
@@ -133,6 +132,29 @@ def test_module_level_tables_are_pinned():
     assert found == MODULE_TABLES
 
 
+# every function the package memoizes with functools, as module.name
+CACHED_FUNCTIONS = {"cli.build_parser", "cohomology.nabla_operators"}
+_CACHE_DECORATORS = {"cache", "functools.cache", "lru_cache", "functools.lru_cache"}
+
+
+def _cached_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):  # lru_cache(maxsize=...)
+                    decorator = decorator.func
+                if ast.unparse(decorator) in _CACHE_DECORATORS:
+                    yield f"{path.stem}.{node.name}"
+
+
+def test_cached_functions_are_pinned():
+    # a function-level cache is a process-wide table too, so the same rule
+    # holds: each one is listed here, and each clears with cache_clear()
+    found = {name for path in sorted(SRC.rglob("*.py")) for name in _cached_functions(path)}
+    assert found == CACHED_FUNCTIONS
+
+
 def _fraction_constants(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in _module_statements(tree):
@@ -165,3 +187,15 @@ def test_clear_caches_empties_every_global_memo():
     for name in memos:
         module, attr = name.split(".")
         assert not getattr(importlib.import_module(f"confweyl.{module}"), attr), name
+    # the cached functions are emptied by their own cache_clear()
+    from confweyl.cli import build_parser
+    from confweyl.cohomology import nabla_operators
+
+    build_parser()
+    nabla_operators(1, 3)
+    cached = {"cli.build_parser": build_parser, "cohomology.nabla_operators": nabla_operators}
+    assert set(cached) == CACHED_FUNCTIONS
+    for name, function in cached.items():
+        assert function.cache_info().currsize, name
+        function.cache_clear()
+        assert not function.cache_info().currsize, name
