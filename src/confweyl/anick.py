@@ -29,8 +29,9 @@ walks it: per cell it reads one matched edge and, at a merged end, one bar
 differential of the partner, and it returns both f(cell) and the ascent
 into split cells that g's corrections sum, kept as one pair in ``_f_memo``
 (the matching is acyclic; the recursion stack raises MatchingError on a
-cycle).  The memo keeps each distinct coefficient once, since the pairs'
-coefficients take few values, and every split end shares one empty pair.
+cycle).  The memo keeps each distinct coefficient and each distinct (k, n)
+slot once, since the pairs' coefficients and the cells' slots take few
+values, and every split end shares one empty pair.
 
 The structure constants are integers, so the bar differential and the
 closed-form δ sum each target's terms as ``int``s in a raw
@@ -322,9 +323,11 @@ def matched_edge(cell):
 # -- path-weight maps ---------------------------------------------------------------
 
 #: cell -> (f(cell), ascent(cell)) as raw terms, filled by ``_zigzag``; it
-#: also maps each coefficient's frozen items to the one copy its pairs hold
+#: also maps each coefficient's frozen items, and each (k, n) slot, to the
+#: one copy of it that the pairs and the cells hold
 _f_memo = {}
-#: the pair of every split end, whose f and ascent are both 0
+#: the pair of every split end, whose f and ascent are both 0; every empty
+#: half of a pair is one of these two dicts
 _SPLIT_END = ({}, {})
 
 
@@ -354,9 +357,11 @@ def _zigzag(cell, _stack=None):
     ``_bar_terms`` of its partner.  The memo ``_f_memo`` keeps the pair,
     with each coefficient of f and of the ascent replaced by the memo's one
     copy of its value, and every split end keeps the one pair
-    ``_SPLIT_END``.  Its dicts are shared, so callers read them and never
-    change them, and the public maps wrap them as ``AlgebraElement``s at
-    return.
+    ``_SPLIT_END``, whose dicts are also every other empty half.  The cell
+    it is stored under, and the partner an ascent is keyed by, are rebuilt
+    from the memo's one copy of each slot (``_slotted``).  Its dicts are
+    shared, so callers read them and never change them, and the public maps
+    wrap them as ``AlgebraElement``s at return.
     """
     cached = _f_memo.get(cell)
     if cached is not None:
@@ -367,14 +372,14 @@ def _zigzag(cell, _stack=None):
         raise MatchingError(f"cycle in Morse graph traversal at {cell}")
     edge = matched_edge(cell)
     if edge is None:
-        result = (_interned({cell_to_chain(cell): {UNIT: 1}}), {})
+        result = (_interned({cell_to_chain(cell): {UNIT: 1}}), _SPLIT_END[1])
     elif edge[1] == "down":
         result = _SPLIT_END
     else:
         partner, _, weight = edge
         inv = _negated_inverse(weight)
         _stack.add(cell)
-        f, ascent = {}, {partner: {UNIT: inv}}
+        f, ascent = {}, {_slotted(partner): {UNIT: inv}}
         for target, coeff in _bar_terms(partner).items():
             if target == cell:
                 continue
@@ -384,9 +389,16 @@ def _zigzag(cell, _stack=None):
                 _combine(f, scaled, f_target)
                 _combine(ascent, scaled, ascent_target)
         _stack.discard(cell)
-        result = (_interned(f), _interned(ascent))
-    _f_memo[cell] = result
+        result = (_interned(f) or _SPLIT_END[0], _interned(ascent))
+    _f_memo[_slotted(cell)] = result
     return result
+
+
+def _slotted(cell):
+    """``cell`` rebuilt from the one copy of each (k, n) slot that ``_f_memo``
+    keeps: cells made afresh by the bar differential hold equal slots as
+    separate tuples, and the memo's cells use few distinct slots."""
+    return tuple([_f_memo.setdefault(slot, slot) for slot in cell])
 
 
 def _interned(combo):
@@ -480,8 +492,9 @@ def _closed_delta_terms(chain):
 def clear_caches():
     """Drop anick's one process-wide table, the memoized Morse traversal
     ``_f_memo``: the pair of f and the ascent of every cell ``_zigzag`` met,
-    as raw terms, and the one copy of each distinct coefficient the pairs
-    share.  Split ends share the constant ``_SPLIT_END``, which stays empty.
+    as raw terms, and the one copy of each distinct coefficient and slot the
+    pairs and cells share.  Split ends share the constant ``_SPLIT_END``,
+    which stays empty.
     ∇'s operators are ``cohomology.nabla_operators``'s own cache, emptied by
     its ``cache_clear()``."""
     _f_memo.clear()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from confweyl import anick, coeffalg
 from confweyl.anick import (
     MatchingError,
+    _SPLIT_END,
     _bar_terms,
     _combine,
     _f_memo,
@@ -318,6 +319,14 @@ def test_morse_maps_do_not_depend_on_the_order_they_fill_the_memo():
         clear_caches()
 
 
+def _memo_pairs():
+    """The memo's cell → (f, ascent) entries: a cell is a tuple of (k, n)
+    slots, and the memo also keys coefficients by frozen items and slots by
+    themselves."""
+    return {cell: pair for cell, pair in _f_memo.items()
+            if type(cell) is tuple and all(type(slot) is tuple for slot in cell)}
+
+
 def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
     # after the fdg and morse-closed suites fill the memo from cold caches,
     # equal coefficients of f and of the ascent are one object, every split
@@ -328,7 +337,7 @@ def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
     try:
         assert check_fdg(max_degree=4, max_sum=8)["passed"]
         assert check_morse_closed(max_degree=4, max_sum=8)["passed"]
-        pairs = {cell: pair for cell, pair in _f_memo.items() if type(cell) is tuple}
+        pairs = _memo_pairs()
         coeffs = [terms for pair in pairs.values() for half in pair for terms in half.values()]
         assert len(coeffs) > len({id(terms) for terms in coeffs}) \
             == len({frozenset(terms.items()) for terms in coeffs})
@@ -337,6 +346,23 @@ def test_memo_keeps_one_copy_of_each_coefficient_and_one_split_end_pair():
         assert split and split[0] == ({}, {}) and all(pair is split[0] for pair in split)
         warm = _morse_maps(chains, f_first=True, cold=False)
         assert warm == _morse_maps(chains, f_first=True) == _morse_maps(chains, f_first=False)
+    finally:
+        clear_caches()
+
+
+def test_memo_cells_hold_one_copy_of_each_slot():
+    # the cells the memo is keyed by and those its ascents are keyed by hold
+    # one tuple per distinct (k, n) slot, and every empty half of a pair is
+    # one of the split end's two dicts
+    clear_caches()
+    try:
+        assert check_morse_closed(max_degree=4, max_sum=8)["passed"]
+        pairs = _memo_pairs()
+        slots = [slot for cell, (_, ascent) in pairs.items()
+                 for key in (cell, *ascent) for slot in key]
+        assert len(slots) > len({id(slot) for slot in slots}) == len(set(slots))
+        empty = [half for pair in pairs.values() for half in pair if not half]
+        assert empty and all(half is _SPLIT_END[0] or half is _SPLIT_END[1] for half in empty)
     finally:
         clear_caches()
 

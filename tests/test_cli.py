@@ -127,6 +127,11 @@ _GOLDEN = Path(__file__).parent / "golden"
     (("cohomology", "--degree", "3", "--module", "ext(alpha=1/2,beta=2,gamma=3)",
       "--window", "8"),
      "cohomology_ext_h3_frac.json"),
+    # the α ≠ 0 reports of the benchmark's elimination workload
+    (("cohomology", "--degree", "4", "--module", "M(alpha=1,delta=1)", "--window", "11"),
+     "cohomology_h4_m11.json"),
+    (("cohomology", "--degree", "5", "--module", "M(alpha=1,delta=1)", "--window", "10"),
+     "cohomology_h5_m11.json"),
 ])
 def test_json_outputs_match_golden_files(capture, argv, golden):
     # the golden files pin every coefficient string byte for byte, so the
