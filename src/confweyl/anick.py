@@ -18,20 +18,21 @@ so w' is one letter, the v(0) that a slot with k ≥ 1 starts with; and two
 slots concatenate to a normal word only when the left one ends in v(0).
 The slot words are the A₁ monomials y^(k+1)tⁿ of ``coeffalg``, so a slot
 product is ``coeffalg._letter_word``'s closed form, or the single
-concatenated word when the left slot ends in v(0).  All matched weights
-are ±1 here; invertibility is still checked and a failure aborts loudly.  A
-matched edge's weight is read straight from the slot products of the split
-cell (``_merge_weight``), at the merge positions that can produce the
-merged cell and the head term, without building the whole bar differential.
+concatenated word when the left slot ends in v(0).  ``matched_edge`` gives
+only the partner and the direction.  An edge's weight is, by definition,
+the merged cell's coefficient in the bar differential of the split cell,
+and ``_edge_weight`` reads it there; it must be a nonzero scalar (all are
+±1 here), and a missing edge or a head term on it raises MatchingError.
 Differentials and the homotopy maps f, g are sums of path weights in the
 reversed-edge graph.  One memoized depth-first traversal, ``_zigzag``,
 walks it: per cell it reads one matched edge and, at a merged end, one bar
-differential of the partner, and it returns both f(cell) and the ascent
-into split cells that g's corrections sum, kept as one pair in ``_f_memo``
-(the matching is acyclic; the recursion stack raises MatchingError on a
-cycle).  The memo keeps each distinct coefficient and each distinct (k, n)
-slot once, since the pairs' coefficients and the cells' slots take few
-values, and every split end shares one empty pair.
+differential of the partner, which also holds the edge's weight, and it
+returns both f(cell) and the ascent into split cells that g's corrections
+sum, kept as one pair in ``_f_memo`` (the matching is acyclic; the
+recursion stack raises MatchingError on a cycle).  The memo keeps each
+distinct coefficient and each distinct (k, n) slot once, since the pairs'
+coefficients and the cells' slots take few values, and every split end
+shares one empty pair.
 
 The structure constants are integers, so the bar differential and the
 closed-form δ sum each target's terms as ``int``s in a raw
@@ -53,7 +54,6 @@ from math import comb
 
 from .coeffalg import (
     UNIT,
-    AlgebraElement,
     _element,
     _letter_word,
     _mul_into,
@@ -250,38 +250,19 @@ def prefix_chain_degree(cell):
     return best
 
 
-def _merge_weight(split_cell, merged_cell):
-    """Bar-differential coefficient of the merged cell in d(split cell).
+def _edge_weight(split_terms, merged_cell):
+    """A matched edge's weight: the coefficient of the merged cell in the
+    bar differential of the split cell, given as its raw ``_bar_terms``.
 
-    Read straight from the slot products: only the merge positions whose
-    target can equal the merged cell are visited, plus the head term, and
-    no whole differential is built.
+    Raises MatchingError when the edge is missing or its coefficient is not
+    a nonzero scalar, as when the head term a₁ lands on the merged cell.
     """
-    m = len(merged_cell)
-    scalar = 0
-    if len(split_cell) == m + 1:
-        for i in range(m):
-            # the merge at i keeps slots before i and after i+1 in place
-            if split_cell[:i] != merged_cell[:i]:
-                break
-            if split_cell[i + 2:] != merged_cell[i + 1:]:
-                continue
-            (ka, na), (kb, nb) = split_cell[i], split_cell[i + 1]
-            k, n = merged_cell[i]
-            if not na:  # the single word v(0)^(ka+kb+1) v(nb)
-                c = 1 if (k, n) == (ka + kb + 1, nb) else 0
-            else:
-                c = _letter_word(na, kb, nb).get((k - ka, n), 0) if k >= ka else 0
-            scalar += c if i % 2 else -c
-        head = split_cell[1:] == merged_cell
-    else:
-        head = False
-    if head:
-        coeff = AlgebraElement({split_cell[0]: 1, UNIT: scalar})
-        raise MatchingError(f"matched edge weight {coeff} is not invertible in Λ")
-    if not scalar:
+    coeff = split_terms.get(merged_cell)
+    if coeff is None:
         raise MatchingError("matched edge missing from the bar differential")
-    return scalar
+    if len(coeff) != 1 or UNIT not in coeff:
+        raise MatchingError(f"matched edge weight {_element(coeff)} is not invertible in Λ")
+    return coeff[UNIT]
 
 
 def _negated_inverse(weight):
@@ -292,10 +273,10 @@ def _negated_inverse(weight):
 def matched_edge(cell):
     """Morse-matching partner of a bar cell, or None for critical cells.
 
-    Returns (partner, direction, weight): direction 'up' when the partner
-    has one more slot (this cell is the merged end), 'down' when it has one
-    fewer (this cell is the split end).  The weight is the matched edge's
-    bar-differential coefficient, checked to be an invertible scalar.
+    Returns (partner, direction): direction 'up' when the partner has one
+    more slot (this cell is the merged end), 'down' when it has one fewer
+    (this cell is the split end).  The edge's weight lives in the bar
+    differential of the split end, where ``_edge_weight`` reads it.
     """
     m = len(cell)
     if m == 0:
@@ -307,16 +288,14 @@ def matched_edge(cell):
     # slot with k ≥ 1 starts with, and the prefix's last letter must be ≥ 1
     if p + 2 <= m and cell[p + 1][0] and (p < 0 or cell[p][1]):
         k, n = cell[p + 1]
-        partner = cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:]
-        return partner, "up", _merge_weight(partner, cell)
+        return cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:], "up"
 
     # split end: inside the prefix only its last slot, p+1, can be v(0); a
     # cell whose slot p+1 is v(0) with a slot after it merges them into
     # v(0)^(kb+1) v(nb), which stops the prefix one slot earlier (q = p−1)
     if 0 <= p < m - 1 and cell[p] == (0, 0):
         kb, nb = cell[p + 1]
-        merged = cell[:p] + ((kb + 1, nb),) + cell[p + 2:]
-        return merged, "down", _merge_weight(cell, merged)
+        return cell[:p] + ((kb + 1, nb),) + cell[p + 2:], "down"
     return None
 
 
@@ -352,11 +331,12 @@ def _zigzag(cell, _stack=None):
     chain, a split end to 0, and a merged end lifts through its partner and
     follows the remaining bar-differential edges.  The ascent, keyed by bar
     cell, sums the paths that climb from a merged end into split cells (g's
-    corrections); it is 0 on critical cells and split ends.  Both halves of
-    a merged end read one matched edge and the raw bar differential
-    ``_bar_terms`` of its partner.  The memo ``_f_memo`` keeps the pair,
-    with each coefficient of f and of the ascent replaced by the memo's one
-    copy of its value, and every split end keeps the one pair
+    corrections); it is 0 on critical cells and split ends, which need no
+    weight.  Both halves of a merged end read one matched edge and the raw
+    bar differential ``_bar_terms`` of its partner, whose coefficient on the
+    cell is the edge's weight (``_edge_weight``).  The memo ``_f_memo``
+    keeps the pair, with each coefficient of f and of the ascent replaced by
+    the memo's one copy of its value, and every split end keeps the one pair
     ``_SPLIT_END``, whose dicts are also every other empty half.  The cell
     it is stored under, and the partner an ascent is keyed by, are rebuilt
     from the memo's one copy of each slot (``_slotted``).  Its dicts are
@@ -376,11 +356,12 @@ def _zigzag(cell, _stack=None):
     elif edge[1] == "down":
         result = _SPLIT_END
     else:
-        partner, _, weight = edge
-        inv = _negated_inverse(weight)
+        partner = edge[0]
+        terms = _bar_terms(partner)
+        inv = _negated_inverse(_edge_weight(terms, cell))
         _stack.add(cell)
         f, ascent = {}, {_slotted(partner): {UNIT: inv}}
-        for target, coeff in _bar_terms(partner).items():
+        for target, coeff in terms.items():
             if target == cell:
                 continue
             f_target, ascent_target = _zigzag(target, _stack)

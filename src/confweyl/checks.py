@@ -20,10 +20,11 @@ The symbolic cochain oracle is the route that ∇ assembly collapses:
 ``reduce_element``) and ∇ on one cochain (``reduced_delta``, the
 per-column oracle of ``cohomology.assemble_matrix``).  A ``SymbolicModule``
 wraps a ``FiniteModule``: it carries the letter action by Taylor's formula
-(``act_vn``, ``act_word``, ``act_algebra``) and owns Δ's two memos, δ's
-raw terms per chain and the action per (coefficient, value), one pair per
-check call.  ``check_locality_compat`` is the λ-degree criterion for
-M(α,Δ).
+(``act_vn``, ``act_word``, ``act_algebra``) and owns Δ's three memos, one
+set per check call: δ's raw terms per chain, the coface index per
+(degree, W) and the action per (coefficient, value).  Δ works by cofaces:
+Δφ is read only at the chains whose δ has a target in supp φ.
+``check_locality_compat`` is the λ-degree criterion for M(α,Δ).
 
 The resolution suites (``check_delta_squared``, ``check_morse_closed``,
 ``check_fdg``, ``check_fg_identity``) read and accumulate the raw
@@ -32,7 +33,11 @@ The resolution suites (``check_delta_squared``, ``check_morse_closed``,
 of ``_zigzag``) and never wrap them: ``AlgebraElement`` equality compares
 the same dicts, so each comparison is the one the public maps would make.
 ``check_delta_squared`` builds the δ of each degree-(n−1) target once, in a
-table local to degree n that is dropped before degree n+1.
+table local to degree n that is dropped before degree n+1.  Each resolution
+suite, and ``check_chain_kill``, raises ValueError on a bound under which it
+would check nothing, since an empty check would read as a pass.
+``check_matching`` reads each edge's weight off d(split end) through
+``anick._edge_weight`` and reports a non-invertible one as a failure.
 
 ``check_fdg`` computes f∘d once per cell within a grade.  Every cell of
 g(c) has c's slot count and c's grade (Σ indices − number of letters),
@@ -50,9 +55,11 @@ import itertools
 import random
 
 from .anick import (
+    MatchingError,
     _bar_terms,
     _closed_delta_terms,
     _combine,
+    _edge_weight,
     _g_terms,
     _morse_delta_terms,
     _zigzag,
@@ -257,6 +264,14 @@ def oracle_twist_terms(chain):
 
 # -- resolution suites ------------------------------------------------------------------
 
+def _refuse_vacuous(suite, name, value, least):
+    """Raise ValueError when ``value`` is below ``least``, the smallest bound
+    at which ``suite`` checks anything: an empty check would read as a pass."""
+    if value < least:
+        raise ValueError(f"suite {suite!r} needs {name} >= {least}, got {value}: "
+                         "a smaller bound leaves it nothing to check")
+
+
 def check_delta_squared(max_degree=5, max_sum=10):
     """δ∘δ = 0 on every chain of degree 2..max_degree, on raw terms.
 
@@ -264,8 +279,11 @@ def check_delta_squared(max_degree=5, max_sum=10):
     degree n and dropped before degree n+1: chains of degree n share their
     targets, and no other degree reads them.  As in ``_fd``, the table also
     maps each coefficient's frozen items to one shared copy of it, which
-    keeps the degree-5 table at about a third of its unshared size.
+    keeps the degree-5 table at about a third of its unshared size.  The
+    first chain it checks is [1|0], of degree 2 and sum 1.
     """
+    _refuse_vacuous("delta-squared", "max_degree", max_degree, 2)
+    _refuse_vacuous("delta-squared", "max_sum", max_sum, 1)
     failures = []
     for degree in range(2, max_degree + 1):
         table = {}
@@ -286,6 +304,8 @@ def check_delta_squared(max_degree=5, max_sum=10):
 
 
 def check_morse_closed(max_degree=4, max_sum=8):
+    _refuse_vacuous("morse-closed", "max_degree", max_degree, 1)
+    _refuse_vacuous("morse-closed", "max_sum", max_sum, 0)
     failures = []
     for degree in range(1, max_degree + 1):
         for chain in enumerate_chains(degree, max_sum):
@@ -346,6 +366,8 @@ def check_fdg(max_degree=4, max_sum=8):
     distributivity in Λ.  Both sides are raw terms; ``AlgebraElement``
     equality compares the same dicts.
     """
+    _refuse_vacuous("fdg", "max_degree", max_degree, 1)
+    _refuse_vacuous("fdg", "max_sum", max_sum, 0)
     failures = []
     for degree in range(1, max_degree + 1):
         memo, grade_sum = {}, None
@@ -360,6 +382,8 @@ def check_fdg(max_degree=4, max_sum=8):
 
 
 def check_fg_identity(max_degree=3, max_sum=7):
+    _refuse_vacuous("fg-identity", "max_degree", max_degree, 1)
+    _refuse_vacuous("fg-identity", "max_sum", max_sum, 0)
     failures = []
     for degree in range(1, max_degree + 1):
         for chain in enumerate_chains(degree, max_sum):
@@ -386,8 +410,9 @@ def _sample_cells(max_slots=3, max_letters=4, max_index=4):
 
 
 def check_matching():
-    """Partner-of-partner involution and single-partner property, on every
-    bar cell of at most 3 slots and 4 letters with indices ≤ 4."""
+    """Partner-of-partner involution, single-partner property and an
+    invertible weight, read off d(split end), on every bar cell of at most
+    3 slots and 4 letters with indices ≤ 4."""
     failures = []
     partner_of = {}
     cells = _sample_cells(3, 4, 4)
@@ -395,10 +420,14 @@ def check_matching():
         edge = matched_edge(cell)
         if edge is None:
             continue
-        partner, direction, weight = edge
-        back = matched_edge(partner)
-        if back is None or back[0] != cell or back[2] != weight \
-                or {direction, back[1]} != {"up", "down"}:
+        partner, direction = edge
+        if matched_edge(partner) != (cell, "down" if direction == "up" else "up"):
+            failures.append(cell)
+            continue
+        split, merged = (partner, cell) if direction == "up" else (cell, partner)
+        try:
+            _edge_weight(_bar_terms(split), merged)
+        except MatchingError:
             failures.append(cell)
             continue
         if partner in partner_of and partner_of[partner] != cell:
@@ -409,7 +438,13 @@ def check_matching():
 
 
 def check_chain_kill(max_degree=3, max_sum=6):
-    """Non-chain cells with f = 0 keep f = 0 after slot-wise derivation."""
+    """Non-chain cells with f = 0 keep f = 0 after slot-wise derivation.
+
+    The first such cell is the split end [v(0)|v(0)], of 2 slots and 2
+    letters: every smaller cell is a chain or a merged end, whose f is not 0.
+    """
+    _refuse_vacuous("chain-kill", "max_degree", max_degree, 2)
+    _refuse_vacuous("chain-kill", "max_sum", max_sum, 2)
     failures = []
     for cell in _sample_cells(max_degree, max_sum, max_sum):
         if cell_is_chain(cell) or homotopy_f(cell):
@@ -545,9 +580,9 @@ def reduce_element(m):
 class SymbolicModule:
     """A ``FiniteModule`` (or its spec) acting on vectors of ∂-polynomials.
 
-    Reads the module's E, B, C and owns both memos that Δ fills, δ's raw
-    terms per chain and the action of each coefficient on each value, so
-    they are freed with it.
+    Reads the module's E, B, C and owns what Δ fills: δ's raw terms per
+    chain, the coface index per (degree, W) and the action of each
+    coefficient on each value, so they are freed with it.
     """
 
     def __init__(self, module):
@@ -556,6 +591,9 @@ class SymbolicModule:
         self.E, self.B, self.C = self.module.E, self.module.B, self.module.C
         # chain -> ``_closed_delta_terms(chain)``, filled by Δ
         self.delta_memo = {}
+        # (degree, W) -> {y: [x, …]}, the degree-n chains x of sum ≤ W whose
+        # δ has the target y, in (sum, lex) order (``_cofaces``)
+        self.coface_memo = {}
         # (frozen items of x ∈ Λ, m) -> x·m, filled by Δ (``_act``)
         self.action_memo = {}
 
@@ -703,19 +741,40 @@ def _act(module, terms, val):
     return got
 
 
+def _cofaces(module, degree, W):
+    """{y: [x, …]}: the degree-``degree`` chains x of sum ≤ W whose δ has the
+    target y, each list in (sum, lex) order, built once per (degree, W) from
+    the module's δ memo and kept in ``coface_memo``."""
+    key = (degree, W)
+    index = module.coface_memo.get(key)
+    if index is None:
+        index = module.coface_memo[key] = {}
+        memo = module.delta_memo
+        for x in enumerate_chains(degree, W):
+            delta = memo.get(x)
+            if delta is None:
+                delta = memo[x] = _closed_delta_terms(x)
+            for y in delta:
+                index.setdefault(y, []).append(x)
+    return index
+
+
 def hochschild_delta(phi, window):
     """Δⁿφ = φ ∘ δ_{n+1} on every chain of degree n+1 with sum ≤ W.
 
-    δ of each chain and the action of each δ coefficient on each value are
-    memoised per module (``SymbolicModule.delta_memo`` and ``action_memo``).
+    Δφ can be nonzero only at the cofaces of supp φ, the chains whose δ has
+    a target in it, so only those are visited, in (sum, lex) order; the
+    other chains of the window are 0.  δ of each chain, the coface index and
+    the action of each δ coefficient on each value are memoised per module
+    (``SymbolicModule.delta_memo``, ``coface_memo`` and ``action_memo``).
     """
     module = phi.module
     memo = module.delta_memo
+    cofaces = _cofaces(module, phi.degree + 1, window.W)
+    visit = {x for y in phi.values for x in cofaces.get(y, ())}
     out = {}
-    for x in enumerate_chains(phi.degree + 1, window.W):
-        delta = memo.get(x)
-        if delta is None:
-            delta = memo[x] = _closed_delta_terms(x)
+    for x in sorted(visit, key=lambda x: (sum(x), x)):
+        delta = memo[x]
         acc = module.zero()
         for y, terms in delta.items():
             val = phi.values.get(y)

@@ -256,7 +256,8 @@ def build_parser():
     p = sub.add_parser("check", help="run a named property suite")
     p.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
     # a negative bound or a zero count leaves a suite nothing to check, which
-    # would read as a pass
+    # would read as a pass; the resolution suites refuse their own smaller
+    # vacuous bounds with a ValueError
     p.add_argument("--max-degree", type=_at_least(0), dest="max_degree")
     p.add_argument("--max-sum", type=_at_least(0), dest="max_sum")
     p.add_argument("--count", type=_at_least(1))

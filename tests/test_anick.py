@@ -10,9 +10,9 @@ from confweyl.anick import (
     _SPLIT_END,
     _bar_terms,
     _combine,
+    _edge_weight,
     _f_memo,
     _g_terms,
-    _merge_weight,
     _zigzag,
     anick_delta_closed,
     anick_delta_morse,
@@ -176,10 +176,11 @@ def test_resolution_maps_have_int_coefficients():
 
 
 def test_matched_edge_examples():
-    partner, direction, weight = matched_edge(((1, 1),))
-    assert partner == ((0, 0), (0, 1)) and direction == "up" and weight == -1
+    partner, direction = matched_edge(((1, 1),))
+    assert partner == ((0, 0), (0, 1)) and direction == "up"
+    assert _edge_weight(_bar_terms(partner), ((1, 1),)) == -1
     assert matched_edge(((0, 2), (0, 3))) is None
-    partner, direction, weight = matched_edge(((0, 1), (1, 1)))
+    partner, direction = matched_edge(((0, 1), (1, 1)))
     assert partner == ((0, 1), (0, 0), (0, 1)) and direction == "up"
     # and the split cell points back down
     back = matched_edge(((0, 1), (0, 0), (0, 1)))
@@ -190,28 +191,76 @@ def test_matching_property_suite():
     assert check_matching()["passed"]
 
 
-def test_merge_weight_invertibility_guard():
+def test_edge_weight_refuses_a_missing_edge():
     # an edge absent from the bar differential is rejected loudly
-    with pytest.raises(MatchingError):
-        _merge_weight(((0, 1), (0, 2)), ((0, 9),))
+    with pytest.raises(MatchingError, match="missing"):
+        _edge_weight(_bar_terms(((0, 1), (0, 2))), ((0, 9),))
 
 
-def test_merge_weight_matches_the_bar_differential():
+def test_edge_weight_is_a_unit_of_the_bar_differential():
     edges = 0
     for cell in _sample_cells(3, 5, 4):
         edge = matched_edge(cell)
         if edge is None:
             continue
-        partner, direction, weight = edge
+        partner, direction = edge
         split, merged = (partner, cell) if direction == "up" else (cell, partner)
-        expected = bar_differential(split)[merged].scalar_part()
-        assert _merge_weight(split, merged) == weight == expected, cell
-        assert type(weight) is int, cell
+        weight = _edge_weight(_bar_terms(split), merged)
+        assert weight == bar_differential(split)[merged].scalar_part(), cell
+        assert weight in (1, -1) and type(weight) is int, cell
         edges += 1
     assert edges
     # the head term a₁[a₂|…] is never a scalar, so an edge onto it is refused
     with pytest.raises(MatchingError, match="not invertible"):
-        _merge_weight(((0, 3), (0, 0), (0, 1)), ((0, 0), (0, 1)))
+        _edge_weight(_bar_terms(((0, 3), (0, 0), (0, 1))), ((0, 0), (0, 1)))
+
+
+def test_traversal_reads_the_weight_off_the_partners_differential(monkeypatch):
+    # doubling the merged end's coefficient in d(partner) halves its f: the
+    # traversal takes the weight from that differential and nowhere else
+    cell = ((1, 5),)
+    partner, direction = matched_edge(cell)
+    assert direction == "up"
+    clear_caches()
+    try:
+        want = {key: {w: Fraction(c, 2) for w, c in terms.items()}
+                for key, terms in _zigzag(cell)[0].items()}
+        assert want == {(5,): {(0, 0): Fraction(1, 2)}}
+        differential = anick._bar_terms
+
+        def doubled(split):
+            terms = differential(split)
+            if split == partner:
+                terms[cell] = {w: 2 * c for w, c in terms[cell].items()}
+            return terms
+
+        clear_caches()
+        monkeypatch.setattr(anick, "_bar_terms", doubled)
+        assert _zigzag(cell)[0] == want
+    finally:
+        clear_caches()
+
+
+def test_matching_suite_reports_a_non_invertible_weight(monkeypatch):
+    # an edge whose coefficient in d(split end) is not a scalar fails the
+    # suite instead of raising out of it, and on no other cell
+    from confweyl import checks
+
+    split = ((0, 1), (0, 0), (0, 1))
+    merged, direction = matched_edge(split)
+    assert direction == "down"
+    differential = checks._bar_terms
+
+    def spoiled(cell):
+        terms = differential(cell)
+        if cell == split:
+            terms[merged] = {(0, 1): 1, **terms[merged]}
+        return terms
+
+    monkeypatch.setattr(checks, "_bar_terms", spoiled)
+    report = check_matching()
+    assert not report["passed"]
+    assert set(report["details"]["failures"]) == {split, merged}
 
 
 def _ascend(cell):
@@ -229,15 +278,18 @@ def test_traversal_cycle_guard(traverse, monkeypatch):
     first, second = ((1, 5),), ((2, 1),)
     partners = {}
     for cell in (first, second):
-        partner, kind, _ = matched_edge(cell)
+        partner, kind = matched_edge(cell)
         assert kind == "up"
-        partners[partner] = second if cell == first else first
+        partners[partner] = cell, second if cell == first else first
     assert len(partners) == 2
     differential = anick._bar_terms
 
     def cyclic(cell):
+        # keep the matched edge, so that its weight reads as before and the
+        # traversal reaches the cycle
         if cell in partners:
-            return {partners[cell]: {UNIT: 1}}
+            merged, other = partners[cell]
+            return {merged: differential(cell)[merged], other: {UNIT: 1}}
         return differential(cell)
 
     clear_caches()
@@ -744,7 +796,8 @@ def _prefix_chain_degree_by_letters(cell):
 
 def _matched_edge_by_letters(cell):
     """The matching with every slot rebuilt as letters and every prefix put
-    to ``is_chain``: the reference for ``matched_edge``."""
+    to ``is_chain``: the reference for ``matched_edge``, with the edge's
+    weight read off the bar differential of its split end."""
     m = len(cell)
     if m == 0:
         return None
@@ -754,7 +807,7 @@ def _matched_edge_by_letters(cell):
         letters = cell_letters(cell[:p + 2])
         if len(letters) > p + 2 and is_chain(letters[:p + 2], p + 1):
             partner = cell[:p + 1] + ((0, 0), (k - 1, n)) + cell[p + 2:]
-            return partner, "up", _merge_weight(partner, cell)
+            return partner, "up", _edge_weight(_bar_terms(partner), cell)
     hits = []
     for q in range(-1, m - 2):
         letters = cell_letters(cell[q + 1:q + 3])
@@ -773,7 +826,7 @@ def _matched_edge_by_letters(cell):
     assert len(hits) <= 1, cell
     if hits:
         merged = hits[0][1]
-        return merged, "down", _merge_weight(cell, merged)
+        return merged, "down", _edge_weight(_bar_terms(cell), merged)
     return None
 
 
@@ -787,7 +840,7 @@ def test_matching_read_off_slots_matches_the_letter_reference():
             assert edge is None, cell
             assert cell_is_chain(cell), cell
         else:
-            assert edge == expected and type(edge[2]) is type(expected[2]), cell
+            assert edge == expected[:2] and type(expected[2]) is int, cell
             assert not cell_is_chain(cell), cell
 
 
@@ -795,7 +848,7 @@ def _split_end_by_merge_scan(cell):
     """The split-end side of the matching by scanning every merge position
     q < p: merge slots q+2, q+3 when slot q+2 ends in v(0) and the merged
     cell has prefix degree q.  The reference for the single test at q = p−1
-    in ``matched_edge``."""
+    in ``matched_edge``, with the edge's weight read off d(cell)."""
     m, p = len(cell), prefix_chain_degree(cell)
     hits = []
     for q in range(-1, min(m - 2, p)):
@@ -809,7 +862,7 @@ def _split_end_by_merge_scan(cell):
     if hits:
         q, merged = hits[0]
         assert q == prefix_chain_degree(cell) - 1, cell
-        return merged, "down", _merge_weight(cell, merged)
+        return merged, "down", _edge_weight(_bar_terms(cell), merged)
     return None
 
 
@@ -823,6 +876,6 @@ def test_split_end_test_matches_the_merge_scan():
         if expected is None:
             assert edge is None or edge[1] == "up", cell
         else:
-            assert edge == expected and type(edge[2]) is type(expected[2]), cell
+            assert edge == expected[:2] and type(expected[2]) is int, cell
             split_ends += 1
     assert split_ends == 6643

@@ -222,19 +222,38 @@ def test_invalid_inputs_exit_2(capture):
     assert capture("verify", "--only", "0", "--format", "json")[0] == 2
 
 
-@pytest.mark.parametrize("suite, flag, value, least", [
-    pytest.param("confluence", "--count", "-3", 1, id="confluence---count"),
-    pytest.param("nabla-squared", "--max-degree", "-3", 0, id="nabla-squared---max-degree"),
-    pytest.param("delta-squared", "--max-sum", "-3", 0, id="delta-squared---max-sum"),
-    pytest.param("chain-map", "--window", "-3", 0, id="chain-map---window"),
-    pytest.param("confluence", "--count", "0", 1, id="confluence---count-zero"),
+@pytest.mark.parametrize("suite, bounds, named, least", [
+    pytest.param("confluence", ("--count", "-3"), "--count", 1, id="confluence---count"),
+    pytest.param("nabla-squared", ("--max-degree", "-3"), "--max-degree", 0,
+                 id="nabla-squared---max-degree"),
+    pytest.param("delta-squared", ("--max-sum", "-3"), "--max-sum", 0,
+                 id="delta-squared---max-sum"),
+    pytest.param("chain-map", ("--window", "-3"), "--window", 0, id="chain-map---window"),
+    pytest.param("confluence", ("--count", "0"), "--count", 1, id="confluence---count-zero"),
+    # bounds the parser takes but under which the suite itself checks nothing
+    pytest.param("delta-squared", ("--max-degree", "1"), "max_degree", 2,
+                 id="delta-squared---max-degree-1"),
+    pytest.param("delta-squared", ("--max-sum", "0"), "max_sum", 1,
+                 id="delta-squared---max-sum-0"),
+    pytest.param("fdg", ("--max-degree", "0"), "max_degree", 1, id="fdg---max-degree-0"),
+    pytest.param("morse-closed", ("--max-degree", "0"), "max_degree", 1,
+                 id="morse-closed---max-degree-0"),
+    pytest.param("fg-identity", ("--max-degree", "0"), "max_degree", 1,
+                 id="fg-identity---max-degree-0"),
+    pytest.param("chain-kill", ("--max-degree", "0", "--max-sum", "0"), "max_degree", 2,
+                 id="chain-kill---max-degree-0---max-sum-0"),
+    pytest.param("chain-kill", ("--max-degree", "1", "--max-sum", "0"), "max_degree", 2,
+                 id="chain-kill---max-degree-1---max-sum-0"),
+    pytest.param("chain-kill", ("--max-degree", "2", "--max-sum", "1"), "max_sum", 2,
+                 id="chain-kill---max-degree-2---max-sum-1"),
 ])
-def test_check_refuses_a_negative_bound(capture, suite, flag, value, least):
-    # a negative bound, or a count of 0, leaves the suite nothing to check,
-    # so no PASS may come of it
-    code, out, err = capture("check", "--suite", suite, flag, value)
+def test_check_refuses_a_negative_bound(capture, suite, bounds, named, least):
+    # a negative bound, a count of 0, or a bound under which the suite meets
+    # no chain or cell to check leaves it nothing to check, so no PASS may
+    # come of it
+    code, out, err = capture("check", "--suite", suite, *bounds)
     assert code == 2 and out == ""
-    assert flag in err and f">= {least}" in err
+    assert "error:" in err and named in err and f">= {least}" in err
 
 
 def test_oversized_enumerations_exit_2_at_once(capture):

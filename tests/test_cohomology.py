@@ -475,16 +475,53 @@ def test_action_memo_matches_a_fresh_action(module, x, data):
         want_delta = anick._closed_delta_terms(chain)
         assert [(y, list(terms.items())) for y, terms in delta.items()] \
             == [(y, list(terms.items())) for y, terms in want_delta.items()], chain
-    assert not twin.delta_memo
+    assert list(symbolic.coface_memo) == [(2, window.W)]
+    assert not twin.delta_memo and not twin.coface_memo
     # [1] is no target of δ[2|2], so a memo entry that maps [2|2] to 1·[1]
-    # changes Δ there, on its own module only
+    # changes Δ there, on its own module only; the coface index is read off
+    # the δ memo once, so the entry goes in before the twin's first Δ
     assert (1,) not in symbolic.delta_memo[(2, 2)] and (2, 2) not in image.values
-    symbolic.delta_memo[(2, 2)] = {(1,): {UNIT: 1}}
-    assert hochschild_delta(phi, window).values[(2, 2)] == phi.value((1,))
+    twin.delta_memo[(2, 2)] = {(1,): {UNIT: 1}}
     twin_phi = Cochain(1, twin, {(1,): twin.basis()[0]})
-    assert hochschild_delta(twin_phi, window).values == image.values
+    assert hochschild_delta(twin_phi, window).values[(2, 2)] == twin_phi.value((1,))
+    assert hochschild_delta(phi, window).values == image.values
     # the module itself keeps no memo: it holds no dict at all
     assert [name for name, v in vars(twin.module).items() if isinstance(v, dict)] == []
+
+
+def _dense_hochschild_delta(phi, window):
+    """Δⁿφ read at every chain of degree n+1 with sum ≤ W, with no memo: the
+    reference for the coface walk of ``hochschild_delta``."""
+    module = phi.module
+    out = {}
+    for x in enumerate_chains(phi.degree + 1, window.W):
+        acc = module.zero()
+        for y, terms in anick._closed_delta_terms(x).items():
+            val = phi.values.get(y)
+            if val is not None:
+                acc = acc + module.act_algebra(AlgebraElement(terms), val)
+        if not acc.is_zero():
+            out[x] = acc
+    return Cochain(phi.degree + 1, module, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module=_modules, degree=st.integers(0, 3), W=st.integers(0, 7), data=st.data())
+def test_delta_by_cofaces_matches_the_dense_loop(module, degree, W, data):
+    # values on 1–4 chains, some of them above the window, and two
+    # cochains through one module, the second reading the stored index
+    module = SymbolicModule(module)
+    chains = enumerate_chains(degree, W + 2)
+    window = Window(W, 0)
+    for _ in range(2):
+        support = data.draw(st.lists(st.sampled_from(chains), min_size=1, max_size=4,
+                                     unique=True))
+        phi = Cochain(degree, module, {
+            c: module.element(*[Poly.const(data.draw(_rationals.filter(bool))) * D ** k
+                                for k in range(module.rank)])
+            for c in support})
+        got, want = hochschild_delta(phi, window), _dense_hochschild_delta(phi, window)
+        assert list(got.values.items()) == list(want.values.items())
 
 
 def test_assembly_builds_no_algebra_element(monkeypatch):
