@@ -34,8 +34,10 @@ of ``_zigzag``) and never wrap them: ``AlgebraElement`` equality compares
 the same dicts, so each comparison is the one the public maps would make.
 ``check_delta_squared`` builds the δ of each degree-(n−1) target once, in a
 table local to degree n that is dropped before degree n+1.  Each resolution
-suite, and ``check_chain_kill``, raises ValueError on a bound under which it
-would check nothing, since an empty check would read as a pass.
+suite, ``check_chain_kill``, ``check_nabla_squared`` and
+``check_reduction_soundness`` raise ValueError on a bound under which they
+would check nothing (at W = 0, ∇¹ has no rows; below W = 2, most soundness
+trials draw a degree without chains), since an empty check reads as a pass.
 ``check_matching`` reads each edge's weight off d(split end) through
 ``anick._edge_weight`` and reports a non-invertible one as a failure.
 
@@ -79,7 +81,7 @@ from .coeffalg import (
     derivation as lambda_derivation,
     normal_form,
 )
-from .cohomology import Window, WindowComplex, _decrements
+from .cohomology import Window, _decrements, assemble_matrix
 from .conformal import ConformalElement, check_associativity, lambda_product, n_product
 from .modules import make_module
 from .poly import Poly, D, L, M as MU, split_constant
@@ -974,11 +976,13 @@ def check_chain_map(max_degree=3, window_sum=8, module="M(alpha=1,delta=1)"):
 
 
 def check_nabla_squared(max_degree=4, window_sum=9, module="M(alpha=1,delta=1)"):
-    """∇ⁿ⁺¹∘∇ⁿ = 0, exactly, on the whole window."""
-    nabla = WindowComplex(make_module(module), Window(window_sum, 0)).nabla
+    """∇ⁿ⁺¹∘∇ⁿ = 0, exactly, on the whole window; each ∇ᵈ is assembled once."""
+    _refuse_vacuous("nabla-squared", "window_sum", window_sum, 1)
+    mod, window = make_module(module), Window(window_sum, 0)
     failures = []
+    b = assemble_matrix(0, mod, window)
     for n in range(0, max_degree + 1):
-        a, b = nabla(n), nabla(n + 1)
+        a, b = b, assemble_matrix(n + 1, mod, window)
         for j, image in enumerate(a.columns):
             if b.matvec(image):
                 failures.append((n, a.col_labels[j]))
@@ -990,6 +994,7 @@ def check_nabla_squared(max_degree=4, window_sum=9, module="M(alpha=1,delta=1)")
 def check_reduction_soundness(window_sum=7, module="M(alpha=1,delta=1)", seed=11,
                               trials=25):
     """s + Dⁿh rebuilds φ on the window; reducing a D-image gives 0."""
+    _refuse_vacuous("reduction-soundness", "window_sum", window_sum, 2)
     rng = random.Random(seed)
     mod = SymbolicModule(module)
     window = Window(window_sum, 0)

@@ -28,7 +28,14 @@ from .anick import (
     render_chain,
     render_combination,
 )
-from .coeffalg import UNIT, normal_form, parse_word, render_algebra_element, render_word
+from .coeffalg import (
+    UNIT,
+    _word_sort_key,
+    normal_form,
+    parse_word,
+    render_algebra_element,
+    render_word,
+)
 from .cohomology import Window, cohomology_dim
 from .modules import ModuleValidationError, make_module
 
@@ -47,7 +54,7 @@ def _emit(args, text_body, json_body):
 
 def _algebra_terms_json(x):
     terms = []
-    for w in sorted(x.terms, key=lambda w: (0, -w[0], -w[1]) if w is not UNIT else (1, 0, 0)):
+    for w in sorted(x.terms, key=_word_sort_key):
         c = x.terms[w]
         entry = {"coefficient": str(c)}
         if w is UNIT:

@@ -20,13 +20,13 @@ of sum s − 1, and each row's lead falls in its Q part.  For α ≠ 0 the
 RREF of ∇⁴(M(1,1)) at W = 9 then holds 923 kernel entries against 2 279
 in (sum, lex) order; with C = 0 there is no Q and nothing changes.
 
-A ``WindowComplex`` holds one module's complex at one window and
-assembles each ∇ᵈ once; the report, the theorem constructions and ∇∘∇
-read those matrices.  For the same reason as above ∇ at W-1 is the sum
-≤ W-1 corner of ∇ at W, its trailing rows and columns, and a row of sum
-≤ k is zero on every column of sum > k, a leading block.  So the report
-reads its numbers at W and at W-1 off one elimination per matrix, fed the
-trailing rows first (``WindowComplex.window_dims``).
+The report and the constructions each assemble the two matrices they
+read, ∇ⁿ⁻¹ and ∇ⁿ: with the operators cached, an assembly is one cheap
+per-module pass.  For the same reason as above ∇ at W-1 is the sum ≤ W-1
+corner of ∇ at W, its trailing rows and columns, and a row of sum ≤ k
+is zero on every column of sum > k, a leading block.  So the report
+reads its numbers at W and at W-1 off one elimination per matrix, fed
+the trailing rows first (``window_dims``).
 
 The differential ∇ = reduce ∘ Δ ∘ include is canonical: processing chains
 in (sum, lex) order, the scalar reduction peels
@@ -47,7 +47,7 @@ cochain at (y, j) is Q·E eⱼ·∂ plus constants at every x, its ∂-quotient
 h[x] = Q·E eⱼ is a constant, and peeling Σₖ iₖ·h[decₖ x] leaves the
 constant T·E eⱼ + (S + L·B + Q·C)eⱼ.  None of S, T, L, Q depends on the
 module: ``nabla_operators`` builds them once per (degree, W), for every
-module and every complex in the process, and ``assemble_matrix`` is the
+module and every caller in the process, and ``assemble_matrix`` is the
 per-module pass that combines them with E, B, C, with no module
 arithmetic.  The entries keep ``coeffalg._exact``'s stored form, so
 ``ratmat`` gets integral rows as ints.  The symbolic route on cochains of
@@ -215,121 +215,30 @@ def assemble_matrix(degree, module, window):
     return RationalMatrix(len(row_labels), len(col_labels), columns, row_labels, col_labels)
 
 
-class WindowComplex:
-    """The window complex of one module: ∇ᵈ for every degree d at sum ≤ W.
+def window_dims(n, module, window):
+    """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) at W, then at W-1, of a ``FiniteModule``.
 
-    Each ∇ᵈ is assembled once, on first use, by ``assemble_matrix``.  No
-    kernel is kept, so a complex holds its matrices and nothing else.
+    With lo the columns of A = ∇ⁿ at sum ≤ inner and hi those above,
+    dim proj(ker A) = |lo| − rank A + rank A_hi, and dim proj(im ∇ⁿ⁻¹) is
+    the rank of ∇ⁿ⁻¹'s rows at sum ≤ inner.  Labels run by decreasing
+    sum, and a row of sum ≤ k is zero on the columns of sum > k, so one
+    elimination per matrix gives both windows:
+
+    - A's columns of sum > k are a leading block, whose rank is the
+      number of leads left of it;
+    - its trailing rows, those of sum ≤ W-1, go in first: they are ∇ⁿ at
+      W-1, whose numbers are read before the rows of sum W are added;
+    - likewise ∇ⁿ⁻¹'s rows of sum ≤ inner-1, then those of sum inner.
     """
-
-    def __init__(self, module, window):
-        self.module = make_module(module)
-        self.window = window
-        self._nabla = {}  # degree -> ∇ᵈ
-
-    def nabla(self, degree):
-        """∇ᵈ, with (chain, coordinate) labels on both sides."""
-        got = self._nabla.get(degree)
-        if got is None:
-            got = self._nabla[degree] = assemble_matrix(degree, self.module, self.window)
-        return got
-
-    def index(self, degree):
-        """(chain, coordinate) → position in degree d: ∇ᵈ's columns, ∇ᵈ⁻¹'s rows."""
-        return {lab: j for j, lab in enumerate(self.nabla(degree).col_labels)}
-
-    def window_dims(self, n):
-        """(dim proj(ker ∇ⁿ), dim proj(im ∇ⁿ⁻¹)) at W, then at W-1.
-
-        With lo the columns of A = ∇ⁿ at sum ≤ inner and hi those above,
-        dim proj(ker A) = |lo| − rank A + rank A_hi, and dim proj(im ∇ⁿ⁻¹) is
-        the rank of ∇ⁿ⁻¹'s rows at sum ≤ inner.  Labels run by decreasing
-        sum, and a row of sum ≤ k is zero on the columns of sum > k, so one
-        elimination per matrix gives both windows:
-
-        - A's columns of sum > k are a leading block, whose rank is the
-          number of leads left of it;
-        - its trailing rows, those of sum ≤ W-1, go in first: they are ∇ⁿ at
-          W-1, whose numbers are read before the rows of sum W are added;
-        - likewise ∇ⁿ⁻¹'s rows of sum ≤ inner-1, then those of sum inner.
-        """
-        W, inner, coords = self.window.W, self.window.inner, self.module.rank
-        a_n, a_prev = self.nabla(n), self.nabla(n - 1)
-        # C(k+1, d) chains of degree d have sum ≤ k, as ``enumerate_chains`` counts
-        lo = [coords * comb(k + 1, n) for k in (inner - 1, inner)]  # |lo| at W-1, at W
-        cuts = [a_n.ncols - k for k in lo]  # the first column (∇ⁿ⁻¹: row) of sum ≤ k
-        batches = _row_batches(a_n, (a_n.nrows - coords * comb(W, n + 1), 0))
-        (rank2, hi2), (rank, hi) = rank_profile(batches, cuts)
-        (im2, _), (im, _) = rank_profile(_row_batches(a_prev, cuts), ())
-        return (lo[1] - rank + hi[1], im), (lo[0] - rank2 + hi2[0], im2)
-
-    def report(self, n):
-        """The H^n dimension report of ``cohomology_dim``."""
-        window = self.window
-        if n < 1:
-            raise ValueError("cohomology degree must be >= 1")
-        if window.W - 1 < window.margin:
-            raise ValueError("window too small for the stability re-run at W-1")
-        (dim_ker, dim_im), (dim_ker2, dim_im2) = self.window_dims(n)
-        dim_h = dim_ker - dim_im
-        stable = (dim_ker2 - dim_im2) == dim_h
-        # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
-        counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
-        return {
-            "degree": n,
-            "module": self.module.spec,
-            "W": window.W,
-            "margin": window.margin,
-            "dim_ker_proj": dim_ker,
-            "dim_im_proj": dim_im,
-            "dim_H": dim_h,
-            "stable": stable,
-            "chain_counts": counts,
-        }
-
-    def constructions(self, n):
-        """The (ok, failures) verdict of ``verify_theorem_constructions``.
-
-        Everything stays in ∇'s coordinates: the module has rank 1, so s is
-        a column vector of ∇ⁿ indexed by degree-n chains, which are the rows
-        of ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
-        """
-        module = self.module
-        if module.E != ((1,),) or module.B != ((1,),):
-            raise ValueError("theorem constructions apply to the rank-1 modules M(alpha,1)")
-        alpha = Fraction(module.C[0][0])
-        if n < 2:
-            raise ValueError("constructions start at degree 2")
-        a_n, a_prev = self.nabla(n), self.nabla(n - 1)
-        rows, cols = self.index(n), self.index(n - 1)
-        # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
-        chains = enumerate_chains(n - 1, self.window.W)
-        sign = (-1) ** (n + 1)
-
-        def read(vec, chain):
-            return vec.get(rows.get((chain, 0)), 0)  # 0 above the window
-
-        failures = []
-        for s in a_n.nullspace():
-            if alpha != 0:
-                # φ₁[t] = (-1)^{n+1} s_{(t,0)} / α
-                phi = {cols[(t, 0)]: sign * read(s, t + (0,)) / alpha for t in chains if t[-1]}
-            else:
-                # φ₁[(…,0)] = (-1)^{n+1} s_{(…,1,0)}, then φ₁[t] = (-1)^n r_{(t,1)}
-                # for t ending in ≥ 1, with r = s - ∇ⁿ⁻¹ of the first step
-                phi = {cols[(t, 0)]: sign * read(s, t[:-1] + (1, 0))
-                       for t in chains if not t[-1]}
-                r = dict(s)
-                for i, val in a_prev.matvec(phi).items():
-                    r[i] = r.get(i, 0) - val
-                for t in chains:
-                    if t[-1]:
-                        phi[cols[(t, 0)]] = -sign * read(r, t + (1,))
-            mismatch = _first_mismatch(a_prev.matvec(phi), s, a_prev.row_labels,
-                                       self.window.inner)
-            if mismatch is not None:
-                failures.append(mismatch)
-        return (not failures), failures
+    W, inner, coords = window.W, window.inner, module.rank
+    a_n, a_prev = assemble_matrix(n, module, window), assemble_matrix(n - 1, module, window)
+    # C(k+1, d) chains of degree d have sum ≤ k, as ``enumerate_chains`` counts
+    lo = [coords * comb(k + 1, n) for k in (inner - 1, inner)]  # |lo| at W-1, at W
+    cuts = [a_n.ncols - k for k in lo]  # the first column (∇ⁿ⁻¹: row) of sum ≤ k
+    batches = _row_batches(a_n, (a_n.nrows - coords * comb(W, n + 1), 0))
+    (rank2, hi2), (rank, hi) = rank_profile(batches, cuts)
+    (im2, _), (im, _) = rank_profile(_row_batches(a_prev, cuts), ())
+    return (lo[1] - rank + hi[1], im), (lo[0] - rank2 + hi2[0], im2)
 
 
 def cohomology_dim(n, module, window):
@@ -339,9 +248,29 @@ def cohomology_dim(n, module, window):
     inner window; stable means the same dim_H results at window W-1.  The
     W-1 matrices are the trailing sum ≤ W-1 corners of the ones at W, so
     ∇ⁿ and ∇ⁿ⁻¹ are each assembled once and eliminated once, and the W-1
-    numbers are read midway through the same eliminations.
+    numbers are read midway through the same eliminations (``window_dims``).
     """
-    return WindowComplex(module, window).report(n)
+    module = make_module(module)
+    if n < 1:
+        raise ValueError("cohomology degree must be >= 1")
+    if window.W - 1 < window.margin:
+        raise ValueError("window too small for the stability re-run at W-1")
+    (dim_ker, dim_im), (dim_ker2, dim_im2) = window_dims(n, module, window)
+    dim_h = dim_ker - dim_im
+    stable = (dim_ker2 - dim_im2) == dim_h
+    # C(W+1, d) chains of degree d, the count ``enumerate_chains`` documents
+    counts = {deg: comb(window.W + 1, deg) for deg in range(1, n + 2)}
+    return {
+        "degree": n,
+        "module": module.spec,
+        "W": window.W,
+        "margin": window.margin,
+        "dim_ker_proj": dim_ker,
+        "dim_im_proj": dim_im,
+        "dim_H": dim_h,
+        "stable": stable,
+        "chain_counts": counts,
+    }
 
 
 def verify_theorem_constructions(module, n, window):
@@ -353,8 +282,47 @@ def verify_theorem_constructions(module, n, window):
     chains ending in (1,0) and in 1 — and asserts ∇ⁿ⁻¹φ₁ matches s on the
     inner window.  Returns (ok, failures); each failure names the first
     chain where the construction misses.
+
+    Everything stays in ∇'s coordinates: the module has rank 1, so s is
+    a column vector of ∇ⁿ indexed by degree-n chains, which are the rows
+    of ∇ⁿ⁻¹, and φ₁ is a column vector of ∇ⁿ⁻¹.
     """
-    return WindowComplex(module, window).constructions(n)
+    module = make_module(module)
+    if module.E != ((1,),) or module.B != ((1,),):
+        raise ValueError("theorem constructions apply to the rank-1 modules M(alpha,1)")
+    alpha = Fraction(module.C[0][0])
+    if n < 2:
+        raise ValueError("constructions start at degree 2")
+    a_n, a_prev = assemble_matrix(n, module, window), assemble_matrix(n - 1, module, window)
+    rows = {lab: i for i, lab in enumerate(a_prev.row_labels)}
+    cols = {lab: j for j, lab in enumerate(a_prev.col_labels)}
+    # chains run (≥1, …, ≥1, ≥0), so t + (0,) is a chain iff t[-1] ≥ 1
+    chains = enumerate_chains(n - 1, window.W)
+    sign = (-1) ** (n + 1)
+
+    def read(vec, chain):
+        return vec.get(rows.get((chain, 0)), 0)  # 0 above the window
+
+    failures = []
+    for s in a_n.nullspace():
+        if alpha != 0:
+            # φ₁[t] = (-1)^{n+1} s_{(t,0)} / α
+            phi = {cols[(t, 0)]: sign * read(s, t + (0,)) / alpha for t in chains if t[-1]}
+        else:
+            # φ₁[(…,0)] = (-1)^{n+1} s_{(…,1,0)}, then φ₁[t] = (-1)^n r_{(t,1)}
+            # for t ending in ≥ 1, with r = s - ∇ⁿ⁻¹ of the first step
+            phi = {cols[(t, 0)]: sign * read(s, t[:-1] + (1, 0))
+                   for t in chains if not t[-1]}
+            r = dict(s)
+            for i, val in a_prev.matvec(phi).items():
+                r[i] = r.get(i, 0) - val
+            for t in chains:
+                if t[-1]:
+                    phi[cols[(t, 0)]] = -sign * read(r, t + (1,))
+        mismatch = _first_mismatch(a_prev.matvec(phi), s, a_prev.row_labels, window.inner)
+        if mismatch is not None:
+            failures.append(mismatch)
+    return (not failures), failures
 
 
 def _row_batches(matrix, starts):

@@ -33,10 +33,10 @@ from .checks import (
 from .coeffalg import AlgebraElement, _exact, normal_form
 from .cohomology import (
     Window,
-    WindowComplex,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
+    verify_theorem_constructions,
 )
 from .modules import ModuleValidationError, module_m
 from .poly import D
@@ -292,19 +292,15 @@ def criterion_7():
 @_criterion(8, "Hⁿ(M(α,1)) = 0 for n=2,3,4 plus explicit constructions (α ∈ {0,1})", 300)
 def criterion_8():
     reports = []
-    for w, degrees in ((10, (2, 3)), (9, (4,))):
-        # one complex per (α, W): the report and the constructions read the
-        # same ∇ⁿ and ∇ⁿ⁻¹, and n = 2 and 3 share ∇² at W = 10
-        complexes = [(alpha, WindowComplex(module_m(alpha, 1), Window(w, 3)))
-                     for alpha in (Fraction(0), Fraction(1))]
-        for n in degrees:
-            for alpha, cx in complexes:
-                rep = cx.report(n)
-                ok, failures = cx.constructions(n)
-                reports.append({"n": n, "alpha": str(alpha), "dim_H": rep["dim_H"],
-                                "stable": rep["stable"], "constructions": ok})
-                if rep["dim_H"] != 0 or not rep["stable"] or not ok:
-                    return False, {"case": reports[-1], "failures": failures[:2]}
+    for n, window in ((2, Window(10, 3)), (3, Window(10, 3)), (4, Window(9, 3))):
+        for alpha in (Fraction(0), Fraction(1)):
+            module = module_m(alpha, 1)
+            rep = cohomology_dim(n, module, window)
+            ok, failures = verify_theorem_constructions(module, n, window)
+            reports.append({"n": n, "alpha": str(alpha), "dim_H": rep["dim_H"],
+                            "stable": rep["stable"], "constructions": ok})
+            if rep["dim_H"] != 0 or not rep["stable"] or not ok:
+                return False, {"case": reports[-1], "failures": failures[:2]}
     return True, {"reports": reports}
 
 
@@ -313,9 +309,8 @@ def criterion_9():
     window = Window(10, 3)
     reports = []
     for spec in ("M(alpha=0,delta=0)", "ext(alpha=0,beta=1,gamma=1)"):
-        cx = WindowComplex(spec, window)
         for n in (2, 3):
-            rep = cx.report(n)
+            rep = cohomology_dim(n, spec, window)
             reports.append({"module": spec, "n": n, "dim_H": rep["dim_H"],
                             "stable": rep["stable"]})
             if rep["dim_H"] != 0 or not rep["stable"]:

@@ -246,6 +246,12 @@ def test_invalid_inputs_exit_2(capture):
                  id="chain-kill---max-degree-1---max-sum-0"),
     pytest.param("chain-kill", ("--max-degree", "2", "--max-sum", "1"), "max_sum", 2,
                  id="chain-kill---max-degree-2---max-sum-1"),
+    pytest.param("nabla-squared", ("--window", "0"), "window_sum", 1,
+                 id="nabla-squared---window-0"),
+    pytest.param("reduction-soundness", ("--window", "0"), "window_sum", 2,
+                 id="reduction-soundness---window-0"),
+    pytest.param("reduction-soundness", ("--window", "1"), "window_sum", 2,
+                 id="reduction-soundness---window-1"),
 ])
 def test_check_refuses_a_negative_bound(capture, suite, bounds, named, least):
     # a negative bound, a count of 0, or a bound under which the suite meets

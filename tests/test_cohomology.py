@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confweyl import anick, coeffalg, cohomology, ratmat, verify
+from confweyl import anick, checks, coeffalg, cohomology, ratmat, verify
 from confweyl.anick import enumerate_chains
 from confweyl.checks import (
     Cochain,
@@ -23,13 +23,13 @@ from confweyl.checks import (
 )
 from confweyl.cohomology import (
     Window,
-    WindowComplex,
     _decrements,
     assemble_matrix,
     cohomology_dim,
     coordinate_labels,
     nabla_operators,
     verify_theorem_constructions,
+    window_dims,
 )
 from confweyl.coeffalg import UNIT, AlgebraElement
 from confweyl.modules import (
@@ -261,8 +261,7 @@ def test_kernel_structure_alpha_zero():
     # window kernel of ∇¹ projected inward is spanned by the delta at [0]
     mod = module_m(0, 1)
     window = Window(10, 3)
-    complex_ = WindowComplex(mod, window)
-    a1 = complex_.nabla(1)
+    a1 = assemble_matrix(1, mod, window)
     kernel = a1.nullspace()
     inner = []
     for vec in kernel:
@@ -272,7 +271,7 @@ def test_kernel_structure_alpha_zero():
             inner.append(restricted)
     assert len(inner) == 1
     only = inner[0]
-    idx0 = complex_.index(1)[((0,), 0)]
+    idx0 = a1.col_labels.index(((0,), 0))
     assert set(only) == {idx0}
 
 
@@ -291,11 +290,11 @@ def test_constructions_read_alpha_off_the_matrices(alpha):
     # a module built from its matrices gets the verdict of the spec it equals,
     # with α read as a Fraction even when C holds an int
     built = _matrix_module(((1,),), ((1,),), ((alpha,),))
-    spec = WindowComplex(f"M(alpha={alpha},delta=1)", Window(9)).constructions(3)
-    assert WindowComplex(built, Window(9)).constructions(3) == spec
+    spec = verify_theorem_constructions(f"M(alpha={alpha},delta=1)", 3, Window(9))
+    assert verify_theorem_constructions(built, 3, Window(9)) == spec
     for other in ("M(alpha=1,delta=0)", "trivial", "ext(alpha=1,beta=1,gamma=0)"):
         with pytest.raises(ValueError, match=r"apply to the rank-1 modules M\(alpha,1\)"):
-            WindowComplex(other, Window(9)).constructions(3)
+            verify_theorem_constructions(other, 3, Window(9))
 
 
 # kernel vectors that are no cocycles, so every construction path must report;
@@ -323,7 +322,8 @@ _NON_COCYCLES = [{0: 1}, {3: 2}, {7: Fraction(-1, 3), 12: 5}, {20: 1}]
 def test_construction_failures_are_reported(monkeypatch, alpha, n, want):
     # the fourth vector sits above the inner window, so it never fails
     chains = enumerate_chains(n, 8)
-    index = WindowComplex(module_m(alpha, 1), Window(8, 3)).index(n)
+    labels = coordinate_labels(n, module_m(alpha, 1), Window(8, 3))
+    index = {lab: i for i, lab in enumerate(labels)}
     vectors = [{index[(chains[k], 0)]: v for k, v in vec.items()} for vec in _NON_COCYCLES]
     monkeypatch.setattr(ratmat.RationalMatrix, "nullspace",
                         lambda self: [dict(v) for v in vectors])
@@ -410,9 +410,9 @@ def _h0(vec, labels, index, degree, flipped=None):
 
 def _h0_failures(alpha, delta, n, W, flipped=None):
     """Columns y of ∇ⁿ with sum ≤ W−1 where ∇ⁿ⁻¹h₀ + h₀∇ⁿ ≠ α·id on M(α,Δ)."""
-    complex_ = WindowComplex(module_m(alpha, delta), Window(W, 0))
-    a_n, a_prev = complex_.nabla(n), complex_.nabla(n - 1)
-    index_prev, index_n = complex_.index(n - 1), complex_.index(n)
+    module, window = module_m(alpha, delta), Window(W, 0)
+    a_n, a_prev = assemble_matrix(n, module, window), assemble_matrix(n - 1, module, window)
+    index_prev, index_n = ({lab: i for i, lab in enumerate(a.col_labels)} for a in (a_prev, a_n))
     failures = []
     for j, (y, _) in enumerate(a_n.col_labels):
         if sum(y) > W - 1:
@@ -806,52 +806,49 @@ def test_report_matches_the_kernel_basis_oracle(module, degree, W, margin):
     window = Window(W, min(margin, W - 1))
     at_w = _oracle_projected_dims(module, degree, window)
     below = _oracle_projected_dims(module, degree, window.shrink())
-    complex_ = WindowComplex(module, window)
-    assert complex_.window_dims(degree) == (at_w, below)
-    rep = complex_.report(degree)
+    assert window_dims(degree, module, window) == (at_w, below)
+    rep = cohomology_dim(degree, module, window)
     assert (rep["dim_ker_proj"], rep["dim_im_proj"], rep["dim_H"]) \
         == (*at_w, at_w[0] - at_w[1])
     assert rep["stable"] == (below[0] - below[1] == at_w[0] - at_w[1])
 
 
-def _count_assemblies(monkeypatch):
+def test_each_caller_assembles_the_matrices_it_reads_once(monkeypatch):
+    # (degree, W) of every assembly, whichever module imported the function
     calls = []
     assemble = cohomology.assemble_matrix
 
     def counting(degree, module, window):
-        calls.append(degree)
+        calls.append((degree, window.W))
         return assemble(degree, module, window)
 
-    monkeypatch.setattr(cohomology, "assemble_matrix", counting)
-    return calls
+    for caller in (cohomology, checks):
+        monkeypatch.setattr(caller, "assemble_matrix", counting)
+    # the W-1 numbers are read off the matrices at W: nothing is assembled at W-1
+    rep = cohomology_dim(3, module_m(0, 1), Window(9, 3))
+    assert rep["dim_H"] == 0 and rep["stable"]
+    assert sorted(calls) == [(2, 9), (3, 9)]
+    calls.clear()
+    assert verify_theorem_constructions(module_m(0, 1), 3, Window(9, 3)) == (True, [])
+    assert sorted(calls) == [(2, 9), (3, 9)]
+    calls.clear()
+    assert check_nabla_squared(max_degree=3, window_sum=6)["passed"]
+    assert calls == [(d, 6) for d in range(5)]
 
 
-def test_complex_assembles_each_nabla_once(monkeypatch):
-    calls = _count_assemblies(monkeypatch)
-    complex_ = WindowComplex(module_m(0, 1), Window(9, 3))
-    assert complex_.report(3)["dim_H"] == 0
-    assert complex_.constructions(3) == (True, [])
-    assert sorted(calls) == [2, 3]
-    # the W-1 numbers come from the same matrices; ∇∘∇ assembles ∇⁰…∇⁴ once
-    assert complex_.report(3)["stable"]
-    assert sorted(calls) == [2, 3]
-    check_nabla_squared(max_degree=3, window_sum=6)
-    assert sorted(calls) == [0, 1, 2, 2, 3, 3, 4]
-
-
-@pytest.mark.parametrize("criterion, assemblies", [(verify.criterion_8, 10),
-                                                   (verify.criterion_9, 6)])
-def test_criteria_share_one_complex_per_window(monkeypatch, criterion, assemblies):
-    # each module's complex assembles its own ∇ᵈ, and the two modules of a
-    # criterion (criterion 8's α ∈ {0, 1}) share the operators of every
-    # (degree, W): each is built once
+@pytest.mark.parametrize("criterion, builds", [
+    pytest.param(verify.criterion_8, 5, id="criterion_8"),
+    pytest.param(verify.criterion_9, 3, id="criterion_9"),
+])
+def test_criteria_build_each_operator_once(criterion, builds):
+    # the modules of a criterion and its report and constructions share the
+    # operators of every (degree, W): criterion 8 reads ∇¹…∇³ at W = 10 and
+    # ∇³, ∇⁴ at W = 9, criterion 9 ∇¹…∇³ at W = 10
     anick.clear_caches()
     nabla_operators.cache_clear()
-    calls = _count_assemblies(monkeypatch)
     assert criterion()["passed"]
-    assert len(calls) == assemblies
     info = nabla_operators.cache_info()  # a key is missed once: misses are distinct builds
-    assert info.misses == info.currsize == assemblies // 2
+    assert info.misses == info.currsize == builds
 
 
 @settings(max_examples=40, deadline=None)
